@@ -68,13 +68,11 @@ bench-diff:
 
 # bench-guard fails when the current PR's trajectory record is missing, so
 # a PR that skips `make bench BENCH_N=$(BENCH_N)` cannot slip past the
-# bench-diff gate unrecorded. From slot 8 on it also requires the
-# serve-level records (ServeLoadgen*) that `make serve-bench` merges in, so
-# the serving path's latency/throughput trajectory cannot silently drop out
-# of the file; from slot 9 on it requires the incremental-refresh records
-# (TrustRefreshIncremental*) that pin the warm-vs-cold solve trajectory;
-# from slot 10 on it requires the sharded-solver grid (EigenTrustSharded*)
-# so the per-shard scaling trajectory stays recorded.
+# bench-diff gate unrecorded. It also requires a record for every benchmark
+# name prefix listed in bench-required.txt (one per line), so a trajectory
+# that later PRs compare against cannot silently drop out of the file:
+# ServeLoadgen* are merged in by `make serve-bench`, the rest come from
+# `make bench`.
 # CI additionally checks that a BENCH_*.json file actually changed in the
 # PR's diff (the Makefile cannot know the merge base).
 bench-guard:
@@ -83,21 +81,14 @@ bench-guard:
 			"run 'make bench BENCH_N=$(BENCH_N)' and commit the record"; \
 		exit 1; \
 	fi; \
-	if [ "$(BENCH_N)" -ge 8 ] && ! grep -q ServeLoadgen BENCH_$(BENCH_N).json; then \
-		echo "bench-guard: BENCH_$(BENCH_N).json has no ServeLoadgen records —" \
-			"run 'make serve-bench BENCH_N=$(BENCH_N)' after 'make bench'"; \
-		exit 1; \
-	fi; \
-	if [ "$(BENCH_N)" -ge 9 ] && ! grep -q TrustRefreshIncremental BENCH_$(BENCH_N).json; then \
-		echo "bench-guard: BENCH_$(BENCH_N).json has no TrustRefreshIncremental records —" \
-			"run 'make bench BENCH_N=$(BENCH_N)' with the incremental-refresh benchmark present"; \
-		exit 1; \
-	fi; \
-	if [ "$(BENCH_N)" -ge 10 ] && ! grep -q EigenTrustSharded BENCH_$(BENCH_N).json; then \
-		echo "bench-guard: BENCH_$(BENCH_N).json has no EigenTrustSharded records —" \
-			"run 'make bench BENCH_N=$(BENCH_N)' with the sharded-solver grid present"; \
-		exit 1; \
-	fi; \
+	while read -r name; do \
+		if [ -n "$$name" ] && ! grep -q "$$name" BENCH_$(BENCH_N).json; then \
+			echo "bench-guard: BENCH_$(BENCH_N).json has no $$name records" \
+				"(required by bench-required.txt) — run 'make bench BENCH_N=$(BENCH_N)'," \
+				"then 'make serve-bench BENCH_N=$(BENCH_N)' for ServeLoadgen"; \
+			exit 1; \
+		fi; \
+	done < bench-required.txt; \
 	echo "bench-guard: BENCH_$(BENCH_N).json present"
 
 # cover prints a function-level coverage summary and enforces COVER_MIN% on
@@ -136,8 +127,8 @@ race-stress:
 		-timeout $(RACE_TIMEOUT) ./internal/reputation/ ./internal/incentive/
 
 # fuzz-smoke runs every fuzz target for FUZZTIME as a quick corpus-driven
-# smoke (CI pairs it with -race to shake out data races in the parallel
-# EigenTrust/sweep paths). Targets are discovered by scanning test files, so
+# smoke (CI pairs it with -race to shake out data races in the sharded
+# EigenTrust solver and the parallel sweep paths). Targets are discovered by scanning test files, so
 # new Fuzz* functions join the smoke automatically.
 FUZZTIME ?= 20s
 fuzz-smoke:

@@ -326,9 +326,9 @@ func BenchmarkEigenTrust(b *testing.B) {
 }
 
 // BenchmarkEigenTrustVariants compares the dense reference against the
-// sparse path at n=400, density 0.08 (the parallel benchmark's graph): the
-// CSR variants must beat dense by well over the 3× acceptance bar, and the
-// workspace-reuse variant must report 0 allocs/op.
+// sparse path at n=400, density 0.08: the CSR variants must beat dense by
+// well over the 3× acceptance bar, and the workspace-reuse variant must
+// report 0 allocs/op.
 func BenchmarkEigenTrustVariants(b *testing.B) {
 	g := benchTrustGraph(b, 400, 0.08, 3)
 	cfg := reputation.DefaultEigenTrust()
@@ -357,19 +357,6 @@ func BenchmarkEigenTrustVariants(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := ws.Compute(g, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("csr-reuse-parallel", func(b *testing.B) {
-		ws := reputation.NewEigenTrustWorkspace()
-		if _, err := ws.ComputeParallel(g, cfg, 4); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ws.ComputeParallel(g, cfg, 4); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -816,20 +803,6 @@ var (
 func init() {
 	if math.IsNaN(sinkFloat + float64(sinkInt) + float64(len(sinkSlice))) {
 		panic("unreachable")
-	}
-}
-
-func BenchmarkEigenTrustParallel(b *testing.B) {
-	g := benchTrustGraph(b, 400, 0.08, 3)
-	cfg := reputation.DefaultEigenTrust()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := reputation.EigenTrustParallel(g, cfg, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // shardStats measures destination-range shard balance on the deterministic
-// collusion-plus-churn workload: for K ∈ {2,4,8} it emits the per-shard
+// collusion-plus-churn workload: for K ∈ {2,4,8} it cuts the per-shard
 // transposed slices, reports each shard's rows, nnz, and per-round outbound
 // exchange bytes, and flags any split whose heaviest shard carries more
 // than 2× the mean nnz — the imbalance measurement the ROADMAP's sharding

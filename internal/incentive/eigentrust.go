@@ -30,15 +30,6 @@ type GlobalTrustConfig struct {
 	Concurrent bool
 	// Shards is the ingest shard count when Concurrent is set (0 = default).
 	Shards int
-	// SolverShards selects the destination-range sharded EigenTrust solver
-	// (reputation.ShardedWorkspace): the eigenvector solve runs across that
-	// many message-passing shards, each holding only its range of the
-	// transposed trust matrix. 0 or 1 keeps the single-workspace solver.
-	// Results are bit-identical for every value — the sharded solver
-	// preserves the serial gather order component by component — so this
-	// knob trades nothing but the solve's execution shape. Orthogonal to
-	// Shards, which shards the concurrent store's ingest lanes.
-	SolverShards int
 }
 
 // DefaultGlobalTrustConfig returns the configuration used by the
@@ -83,9 +74,6 @@ type GlobalTrust struct {
 	log   *reputation.LogGraph        // non-nil in serial mode
 	cg    *reputation.ConcurrentGraph // non-nil in concurrent mode
 	ws    *reputation.EigenTrustWorkspace
-	// sws replaces ws as the solver when cfg.SolverShards > 1 (requires the
-	// edge-log store; results are bit-identical to ws either way).
-	sws *reputation.ShardedWorkspace
 
 	trust []float64 // latest global trust vector (distribution over peers)
 	score []float64 // squashed per-peer observable in [0,1)
@@ -141,9 +129,6 @@ func NewGlobalTrust(n int, cfg GlobalTrustConfig) (*GlobalTrust, error) {
 	if cfg.Floor < 0 {
 		return nil, fmt.Errorf("incentive: Floor must be >= 0, got %v", cfg.Floor)
 	}
-	if cfg.SolverShards < 0 {
-		return nil, fmt.Errorf("incentive: SolverShards must be >= 0, got %d", cfg.SolverShards)
-	}
 	g := &GlobalTrust{
 		cfg:   cfg,
 		n:     n,
@@ -163,13 +148,6 @@ func NewGlobalTrust(n int, cfg GlobalTrustConfig) (*GlobalTrust, error) {
 			return nil, err
 		}
 		g.log, g.store = log, log
-	}
-	if cfg.SolverShards > 1 {
-		sws, err := reputation.NewShardedWorkspace(cfg.SolverShards)
-		if err != nil {
-			return nil, err
-		}
-		g.sws = sws
 	}
 	// The initial solve doubles as configuration validation (damping,
 	// epsilon, pre-trusted range) and yields the uniform starting vector.
@@ -219,11 +197,11 @@ func (g *GlobalTrust) recompute() error {
 		// path still applies because the underlying LogGraph pointer is
 		// stable — while lock-free readers keep serving the previous epoch.
 		seq = g.cg.Exclusive(func(lg *reputation.LogGraph) {
-			tv, err = g.solve(lg)
+			tv, err = g.ws.Compute(lg, g.cfg.Trust)
 		})
 		g.lastSolveSeq = seq
 	} else {
-		tv, err = g.solve(g.log)
+		tv, err = g.ws.Compute(g.log, g.cfg.Trust)
 	}
 	if err != nil {
 		return err
@@ -242,7 +220,7 @@ func (g *GlobalTrust) recompute() error {
 		// watermark-triggered publish may already have advanced past it.
 		g.cg.PublishTrustAt(seq, g.trust)
 	}
-	stats := g.solveStats()
+	stats := g.ws.LastStats()
 	if stats.Warm {
 		g.warmSolves++
 	} else {
@@ -253,34 +231,6 @@ func (g *GlobalTrust) recompute() error {
 	g.dirty = false
 	g.sinceRefresh = 0
 	return nil
-}
-
-// solve runs the configured solver on the edge log: the destination-range
-// sharded workspace when SolverShards > 1, the single workspace otherwise.
-// The two produce bit-identical vectors, iteration counts, and warm-start
-// state, so the choice never leaks into scheme behavior.
-func (g *GlobalTrust) solve(lg *reputation.LogGraph) ([]float64, error) {
-	if g.sws != nil {
-		return g.sws.Compute(lg, g.cfg.Trust)
-	}
-	return g.ws.Compute(lg, g.cfg.Trust)
-}
-
-// solveStats returns the active solver's stats for the most recent solve.
-func (g *GlobalTrust) solveStats() reputation.SolveStats {
-	if g.sws != nil {
-		return g.sws.LastStats()
-	}
-	return g.ws.LastStats()
-}
-
-// ShardStats returns the sharded solver's stats for the most recent solve,
-// or false when the scheme runs the single-workspace solver.
-func (g *GlobalTrust) ShardStats() (reputation.ShardSolveStats, bool) {
-	if g.sws == nil {
-		return reputation.ShardSolveStats{}, false
-	}
-	return g.sws.ShardStats(), true
 }
 
 // Name implements Scheme.
@@ -358,9 +308,6 @@ func (g *GlobalTrust) EndStep() {
 func (g *GlobalTrust) Reset() {
 	g.store.Clear()
 	g.ws.ResetWarm()
-	if g.sws != nil {
-		g.sws.ResetWarm()
-	}
 	g.dirty = true // Clear bypasses the statement path; never skip this solve
 	if err := g.recompute(); err != nil {
 		panic(err)

@@ -285,125 +285,3 @@ func TestGlobalTrustConcurrentBitIdentical(t *testing.T) {
 	conc.Reset()
 	compare(-2)
 }
-
-// TestGlobalTrustSolverShardsBitIdentical drives a serial-solver scheme and
-// a sharded-solver scheme through one identical transfer/churn stream and
-// pins bit-identity of the trust vector and the observables at every
-// refresh — the sharded solver must be invisible to scheme behavior. Also
-// covers the sharded + concurrent-store combination and the snapshot
-// round-trip (a restored sharded scheme warm-starts bit-identically).
-func TestGlobalTrustSolverShardsBitIdentical(t *testing.T) {
-	const n = 40
-	cfg := DefaultGlobalTrustConfig()
-	cfg.RefreshEvery = 3
-	scfg := cfg
-	scfg.SolverShards = 3
-	cscfg := scfg
-	cscfg.Concurrent = true
-	cscfg.Shards = 2
-	serial, err := NewGlobalTrust(n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewGlobalTrust(n, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	concSharded, err := NewGlobalTrust(n, cscfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := serial.ShardStats(); ok {
-		t.Fatal("serial scheme must not report shard stats")
-	}
-
-	all := []*GlobalTrust{serial, sharded, concSharded}
-	compare := func(step int) {
-		t.Helper()
-		for _, g := range all[1:] {
-			for i := 0; i < n; i++ {
-				if serial.Trust(i) != g.Trust(i) {
-					t.Fatalf("step %d: trust[%d] diverged: %v vs %v", step, i, serial.Trust(i), g.Trust(i))
-				}
-				if serial.SharingScore(i) != g.SharingScore(i) {
-					t.Fatalf("step %d: score[%d] diverged", step, i)
-				}
-			}
-		}
-	}
-
-	rng := xrand.New(29)
-	for step := 0; step < 90; step++ {
-		for k := 0; k < 20; k++ {
-			d, s := rng.Intn(n), rng.Intn(n)
-			amt := float64(1 + rng.Intn(5))
-			for _, g := range all {
-				g.RecordTransfer(d, s, amt)
-			}
-		}
-		switch step % 12 {
-		case 5:
-			f, to := rng.Intn(n), rng.Intn(n)
-			for _, g := range all {
-				g.InjectTrust(f, to, 4)
-			}
-		case 9:
-			p := rng.Intn(n)
-			for _, g := range all {
-				g.ResetPeer(p)
-			}
-			compare(step)
-		}
-		for _, g := range all {
-			g.EndStep()
-		}
-		compare(step)
-	}
-	for _, g := range all {
-		g.Refresh()
-	}
-	compare(-1)
-
-	// The sharded schemes surface the solver's exchange accounting, and the
-	// solve stats agree with the serial solver's.
-	st, ok := sharded.ShardStats()
-	if !ok || st.Shards != 3 || st.BytesExchanged <= 0 {
-		t.Fatalf("sharded scheme stats: %+v ok=%v", st, ok)
-	}
-	if sharded.LastSolve().Stats != serial.LastSolve().Stats {
-		t.Fatalf("solve stats diverged: %+v vs %+v", sharded.LastSolve().Stats, serial.LastSolve().Stats)
-	}
-
-	// Snapshot round-trip: state saved from the serial scheme and loaded
-	// into a fresh sharded scheme must continue bit-identically (warm).
-	var state State
-	serial.SaveState(&state)
-	restored, err := NewGlobalTrust(n, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.LoadState(&state); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 15; k++ {
-		d, s := rng.Intn(n), rng.Intn(n)
-		serial.RecordTransfer(d, s, 2)
-		restored.RecordTransfer(d, s, 2)
-	}
-	serial.Refresh()
-	restored.Refresh()
-	if rst, ok := restored.ShardStats(); !ok || !rst.Warm {
-		t.Fatalf("restored sharded scheme should warm-start, got %+v ok=%v", rst, ok)
-	}
-	for i := 0; i < n; i++ {
-		if serial.Trust(i) != restored.Trust(i) {
-			t.Fatalf("restored sharded scheme diverged at %d", i)
-		}
-	}
-
-	// Reset drops every arm back to uniform, bit-identically.
-	for _, g := range all {
-		g.Reset()
-	}
-	compare(-2)
-}

@@ -311,17 +311,17 @@ func TestKarmaValidationAndReset(t *testing.T) {
 
 func TestNewFactory(t *testing.T) {
 	for _, kind := range []Kind{KindNone, KindReputation, KindTitForTat, KindKarma, KindEigenTrust} {
-		s, err := New(kind, 5, core.Default(), true)
+		s, err := NewScheme(5, Options{Kind: kind, WeightedVoting: true})
 		if err != nil {
-			t.Fatalf("New(%v): %v", kind, err)
+			t.Fatalf("NewScheme(%v): %v", kind, err)
 		}
 		if s.Name() != kind.String() {
-			t.Errorf("New(%v).Name() = %q", kind, s.Name())
+			t.Errorf("NewScheme(%v).Name() = %q", kind, s.Name())
 		}
 		shares := allocate(s, 0, []int{1, 2})
 		sumsToOne(t, shares)
 	}
-	if _, err := New(Kind(99), 5, core.Default(), true); err == nil {
+	if _, err := NewScheme(5, Options{Kind: Kind(99)}); err == nil {
 		t.Error("unknown kind should fail")
 	}
 	if Kind(99).String() == "" {
@@ -331,7 +331,7 @@ func TestNewFactory(t *testing.T) {
 
 func TestSchemesHandleEmptyDownloaderSet(t *testing.T) {
 	for _, kind := range []Kind{KindNone, KindReputation, KindTitForTat, KindKarma, KindEigenTrust} {
-		s, _ := New(kind, 3, core.Default(), true)
+		s, _ := NewScheme(3, Options{Kind: kind, WeightedVoting: true})
 		s.Allocate(0, nil, nil) // must be a safe no-op
 	}
 }
@@ -340,7 +340,7 @@ func TestSchemesAllocateIntoReusedBuffer(t *testing.T) {
 	// The transfer manager hands every scheme the same scratch buffer each
 	// step; stale contents from a previous (larger) call must never leak.
 	for _, kind := range []Kind{KindNone, KindReputation, KindTitForTat, KindKarma, KindEigenTrust} {
-		s, _ := New(kind, 5, core.Default(), true)
+		s, _ := NewScheme(5, Options{Kind: kind, WeightedVoting: true})
 		buf := make([]float64, 5)
 		s.Allocate(0, []int{1, 2, 3, 4}, buf[:4])
 		first := append([]float64(nil), buf[:4]...)

@@ -1,10 +1,6 @@
 package incentive
 
-import (
-	"testing"
-
-	"collabnet/internal/core"
-)
+import "testing"
 
 // TestNewSchemeDefaults pins the zero-value contract: Options{} builds the
 // None baseline with default params, and each kind builds under the single
@@ -36,8 +32,6 @@ func TestNewSchemeValidation(t *testing.T) {
 		{Kind: KindEigenTrust, Floor: -0.1},
 		{Kind: KindKarma, Concurrent: true},
 		{Kind: KindEigenTrust, Shards: 4}, // Shards without Concurrent
-		{Kind: KindEigenTrust, SolverShards: -1},
-		{Kind: KindKarma, SolverShards: 2}, // sharded solver is EigenTrust-only
 	}
 	for _, opt := range cases {
 		if _, err := NewScheme(8, opt); err == nil {
@@ -51,51 +45,18 @@ func TestNewSchemeValidation(t *testing.T) {
 func TestNewSchemeOverrides(t *testing.T) {
 	s, err := NewScheme(8, Options{
 		Kind: KindEigenTrust, RefreshEvery: 3, Floor: 0.25,
-		Concurrent: true, Shards: 2, SolverShards: 4, PreTrusted: []int{1, 2},
+		Concurrent: true, Shards: 2, PreTrusted: []int{1, 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := s.(*GlobalTrust)
 	if g.cfg.RefreshEvery != 3 || g.cfg.Floor != 0.25 || !g.cfg.Concurrent ||
-		g.cfg.Shards != 2 || g.cfg.SolverShards != 4 || len(g.cfg.Trust.PreTrusted) != 2 {
+		g.cfg.Shards != 2 || len(g.cfg.Trust.PreTrusted) != 2 {
 		t.Fatalf("options did not thread through: %+v", g.cfg)
-	}
-	if _, ok := g.ShardStats(); !ok {
-		t.Fatal("SolverShards option did not select the sharded solver")
 	}
 	if g.ConcurrentStore() == nil {
 		t.Fatal("Concurrent option did not select the concurrent store")
-	}
-}
-
-// TestDeprecatedShimsMatchNewScheme pins that the legacy constructors build
-// the same schemes the unified one does.
-func TestDeprecatedShimsMatchNewScheme(t *testing.T) {
-	p := core.Default()
-	for k := KindNone; k <= KindMaxFlow; k++ {
-		a, err := New(k, 8, p, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewWithOptions(k, 8, p, true, Options{PreTrusted: []int{0}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Name() != k.String() || b.Name() != k.String() {
-			t.Fatalf("shims built %q/%q, want %s", a.Name(), b.Name(), k)
-		}
-	}
-	// The positional arguments win over the Options fields they duplicate.
-	s, err := NewWithOptions(KindReputation, 8, p, false, Options{Kind: KindKarma, WeightedVoting: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "reputation" {
-		t.Fatalf("NewWithOptions positional kind lost to Options.Kind: %q", s.Name())
-	}
-	if s.(*Reputation).weightedVoting {
-		t.Fatal("NewWithOptions positional weightedVoting lost to Options field")
 	}
 }
 

@@ -220,10 +220,8 @@ func (n *None) EditingScore(peer int) float64 { return n.rep.EditingScore(peer) 
 
 // Options is the single constructor surface for incentive schemes: one
 // struct that names every cross-scheme and commonly-tuned per-kind knob,
-// with the zero value selecting validated defaults throughout. It replaces
-// the accreted New/NewWithOptions signatures (kept below as deprecated
-// shims): callers set Kind plus whatever they care about and pass the rest
-// to NewScheme.
+// with the zero value selecting validated defaults throughout: callers set
+// Kind plus whatever they care about and pass the rest to NewScheme.
 //
 // Scheme-specific configuration beyond these knobs (Karma pricing, max-flow
 // evaluator cadence, EigenTrust damping/epsilon) stays on the per-kind
@@ -266,12 +264,6 @@ type Options struct {
 	// Shards is the concurrent store's ingest shard count (0 = default).
 	// Setting it without Concurrent is an error.
 	Shards int
-
-	// SolverShards runs KindEigenTrust's eigenvector solve on the
-	// destination-range sharded solver with that many message-passing
-	// shards (0 or 1 = single workspace; results are bit-identical either
-	// way). Setting it for any other kind is an error.
-	SolverShards int
 }
 
 // validate reports the first incoherent cross-field combination. Per-kind
@@ -291,12 +283,6 @@ func (o Options) validate() error {
 	}
 	if o.Shards != 0 && !o.Concurrent {
 		return fmt.Errorf("incentive: Shards requires Concurrent")
-	}
-	if o.SolverShards < 0 {
-		return fmt.Errorf("incentive: SolverShards must be >= 0, got %d", o.SolverShards)
-	}
-	if o.SolverShards != 0 && o.Kind != KindEigenTrust {
-		return fmt.Errorf("incentive: SolverShards requires KindEigenTrust, got %s", o.Kind)
 	}
 	return nil
 }
@@ -338,7 +324,6 @@ func NewScheme(n int, opt Options) (Scheme, error) {
 		}
 		cfg.Concurrent = opt.Concurrent
 		cfg.Shards = opt.Shards
-		cfg.SolverShards = opt.SolverShards
 		return NewGlobalTrust(n, cfg)
 	case KindMaxFlow:
 		cfg := DefaultFlowTrustConfig()
@@ -355,29 +340,6 @@ func NewScheme(n int, opt Options) (Scheme, error) {
 	default:
 		return nil, fmt.Errorf("incentive: unknown scheme kind %d", int(opt.Kind))
 	}
-}
-
-// New constructs a scheme of the given kind for n peers with default
-// options.
-//
-// Deprecated: use NewScheme with an Options literal; this shim survives for
-// external callers and will not grow new parameters.
-func New(kind Kind, n int, p core.Params, weightedVoting bool) (Scheme, error) {
-	return NewScheme(n, Options{Kind: kind, Params: &p, WeightedVoting: weightedVoting})
-}
-
-// NewWithOptions constructs a scheme of the given kind for n peers,
-// applying the cross-scheme options where the kind consumes them. The
-// kind/params/weightedVoting arguments override the corresponding opt
-// fields, preserving the historical signature's behavior.
-//
-// Deprecated: use NewScheme — Options now carries Kind, Params, and
-// WeightedVoting itself, making the extra positional arguments redundant.
-func NewWithOptions(kind Kind, n int, p core.Params, weightedVoting bool, opt Options) (Scheme, error) {
-	opt.Kind = kind
-	opt.Params = &p
-	opt.WeightedVoting = weightedVoting
-	return NewScheme(n, opt)
 }
 
 // compile-time interface checks

@@ -277,9 +277,6 @@ func (g *GlobalTrust) LoadState(src *State) error {
 	// warm-started default. The restored vector also counts as a solve for
 	// the recompute skip, exactly as it did in the engine that saved it.
 	g.ws.SeedWarm(g.trust)
-	if g.sws != nil {
-		g.sws.SeedWarm(g.trust)
-	}
 	g.solved = true
 	if g.cg != nil {
 		// LoadEdges just published the restored graph as a fresh epoch;

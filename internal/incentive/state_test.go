@@ -5,8 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"collabnet/internal/core"
 )
 
 const statePeers = 12
@@ -48,7 +46,7 @@ func b2f(b bool) float64 {
 
 func newScheme(t *testing.T, kind Kind) Scheme {
 	t.Helper()
-	s, err := New(kind, statePeers, core.Default(), true)
+	s, err := NewScheme(statePeers, Options{Kind: kind, WeightedVoting: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +108,7 @@ func TestSchemeStateKindMismatch(t *testing.T) {
 func TestSchemeStateSizeMismatch(t *testing.T) {
 	for _, kind := range []Kind{KindNone, KindReputation, KindTitForTat, KindKarma, KindEigenTrust} {
 		var st State
-		small, err := New(kind, statePeers-2, core.Default(), true)
+		small, err := NewScheme(statePeers-2, Options{Kind: kind, WeightedVoting: true})
 		if err != nil {
 			t.Fatal(err)
 		}

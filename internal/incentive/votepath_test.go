@@ -1,10 +1,6 @@
 package incentive
 
-import (
-	"testing"
-
-	"collabnet/internal/core"
-)
+import "testing"
 
 // TestVotePathDoesNotAllocate guards the per-ballot scheme surface the
 // engine's edit-session arena calls for every proposal: eligibility, weight,
@@ -14,7 +10,7 @@ import (
 func TestVotePathDoesNotAllocate(t *testing.T) {
 	const n = 32
 	for _, kind := range []Kind{KindNone, KindReputation, KindTitForTat, KindKarma, KindEigenTrust} {
-		s, err := New(kind, n, core.Default(), true)
+		s, err := NewScheme(n, Options{Kind: kind, WeightedVoting: true})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

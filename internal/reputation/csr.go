@@ -12,11 +12,11 @@ import "math"
 //   - transposed (destination-major): tRowPtr/tColIdx/tVal hold the same
 //     entries grouped by destination, with source indices strictly
 //     ascending. The power iteration next = C^T·t is a gather over this
-//     layout: every output component is one contiguous dot product, which
-//     parallelizes over destination ranges without scatter scratch vectors
-//     and — because each component's accumulation order is fixed by the
-//     layout, not the worker partition — yields bit-identical results for
-//     every worker count.
+//     layout: every output component is one contiguous dot product, so a
+//     destination range is a contiguous window of these arrays (what a
+//     ShardSlice views) and — because each component's accumulation order
+//     is fixed by the layout, not the partition — every shard count yields
+//     bit-identical results.
 //
 // tPos[k] is the transpose slot of forward entry k, so a value-only refresh
 // can renormalize both layouts in one pass. dangling lists the rows with no
@@ -57,10 +57,10 @@ type CSR struct {
 
 // logFollower tracks one consumer's refresh position against a LogGraph:
 // which log it last built from, at which sparsity-pattern generation, and at
-// which dirty-row consumption generation. Both the EigenTrust CSR and the
-// sharded-solver ShardPlan embed one, so every slice consumer classifies its
-// refresh the same way and reports the same RefreshStats vocabulary instead
-// of silently falling back to a full copy.
+// which dirty-row consumption generation. Every CSR holds one, so several
+// consumers sharing a log (a serial workspace's CSR, a ShardPlan's) each
+// classify their own refresh and report it in RefreshStats instead of
+// silently falling back to a full copy.
 type logFollower struct {
 	src      *LogGraph
 	patGen   uint64
@@ -505,16 +505,6 @@ func (c *CSR) refreshFromMap(g *TrustGraph) bool {
 		}
 	}
 	return true
-}
-
-// danglingMass sums t over the dangling rows in ascending order — the walk
-// mass the iteration redistributes to the pre-trust distribution.
-func (c *CSR) danglingMass(t []float64) float64 {
-	dm := 0.0
-	for _, i := range c.dangling {
-		dm += t[i]
-	}
-	return dm
 }
 
 // growInts returns s resized to length n, reusing its backing array when

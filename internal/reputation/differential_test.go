@@ -9,6 +9,25 @@ import (
 	"collabnet/internal/xrand"
 )
 
+// randomGraph returns a map-backed graph with each off-diagonal edge present
+// with probability density and a weight in [0,5).
+func randomGraph(t *testing.T, n int, density float64, seed uint64) *TrustGraph {
+	t.Helper()
+	rng := xrand.New(seed)
+	g, err := NewTrustGraph(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j && rng.Bool(density) {
+				g.SetTrust(i, j, rng.Float64()*5)
+			}
+		}
+	}
+	return g
+}
+
 // dgCase is one randomized differential-test scenario.
 type dgCase struct {
 	n          int
@@ -102,7 +121,10 @@ func TestEigenTrustCSRMatchesDenseBitIdentical(t *testing.T) {
 }
 
 // TestEigenTrustSerialMatchesParallelDeepEqual pins the determinism
-// guarantee: every worker count returns exactly the serial vector.
+// guarantee across executors over the full differential grid (damping 0,
+// complete and empty graphs, pre-trusted sets, forced dangling rows): the
+// K-shard solver — one goroutine per shard — returns exactly the serial
+// vector for every K.
 func TestEigenTrustSerialMatchesParallelDeepEqual(t *testing.T) {
 	for _, c := range differentialCases() {
 		c := c
@@ -113,14 +135,21 @@ func TestEigenTrustSerialMatchesParallelDeepEqual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 3, 7, 0} {
-				par, err := EigenTrustParallel(g, cfg, workers)
+			lg, err := NewLogGraph(c.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.LoadEdges(g.AppendEdges(nil)); err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{1, 2, 3, 7} {
+				par, err := EigenTrustSharded(lg, cfg, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(serial, par) {
-					t.Fatalf("workers=%d diverges from serial:\n serial=%v\n par=%v",
-						workers, serial, par)
+					t.Fatalf("shards=%d diverges from serial:\n serial=%v\n par=%v",
+						shards, serial, par)
 				}
 			}
 		})
@@ -162,29 +191,6 @@ func TestEigenTrustWorkspaceReuseMatchesFresh(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestEigenTrustParallelWorkspaceReuse runs the parallel path repeatedly on
-// one workspace and checks bit-equality with the dense reference each time
-// (ColdStart: the dense reference always starts from pre-trust).
-func TestEigenTrustParallelWorkspaceReuse(t *testing.T) {
-	ws := NewEigenTrustWorkspace()
-	cfg := DefaultEigenTrust()
-	cfg.ColdStart = true
-	for step := 0; step < 10; step++ {
-		g := randomGraph(t, 60, 0.1, uint64(step)+900)
-		got, err := ws.ComputeParallel(g, cfg, 1+step%5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := EigenTrustDense(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(append([]float64(nil), got...), want) {
-			t.Fatalf("step %d: parallel workspace diverges from dense", step)
 		}
 	}
 }

@@ -166,3 +166,90 @@ func TestSpreadAllocationBounded(t *testing.T) {
 		t.Errorf("Spread allocates %v times per run, want <= 2 (informed + senders)", allocs)
 	}
 }
+
+func TestGossipSpreadReachesEveryone(t *testing.T) {
+	rng := xrand.New(1)
+	res, err := Spread(100, 0, DefaultGossip(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Informed != 100 {
+		t.Errorf("informed = %d/100", res.Informed)
+	}
+	if !res.Converged {
+		t.Error("full dissemination must report Converged")
+	}
+	// Push gossip with fanout 2 should finish in O(log n) rounds.
+	if res.Rounds > 25 {
+		t.Errorf("took %d rounds, expected O(log n)", res.Rounds)
+	}
+	if res.Messages <= 0 {
+		t.Error("no messages counted")
+	}
+}
+
+func TestGossipSingletonNetwork(t *testing.T) {
+	rng := xrand.New(2)
+	res, err := Spread(1, 0, DefaultGossip(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Informed != 1 || res.Rounds != 0 {
+		t.Errorf("singleton result = %+v", res)
+	}
+}
+
+func TestGossipValidation(t *testing.T) {
+	rng := xrand.New(3)
+	if _, err := Spread(0, 0, DefaultGossip(), rng); err == nil {
+		t.Error("n=0 should fail")
+	}
+	if _, err := Spread(10, 10, DefaultGossip(), rng); err == nil {
+		t.Error("origin out of range should fail")
+	}
+	if _, err := Spread(10, 0, GossipConfig{Fanout: 0, MaxRound: 10}, rng); err == nil {
+		t.Error("fanout 0 should fail")
+	}
+	if _, err := Spread(10, 0, GossipConfig{Fanout: 1, MaxRound: 0}, rng); err == nil {
+		t.Error("MaxRound 0 should fail")
+	}
+}
+
+func TestGossipRoundBoundRespected(t *testing.T) {
+	rng := xrand.New(4)
+	res, err := Spread(10000, 0, GossipConfig{Fanout: 1, MaxRound: 3}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds > 3 {
+		t.Errorf("rounds = %d, bound was 3", res.Rounds)
+	}
+	if res.Informed >= 10000 {
+		t.Error("cannot fully inform 10000 peers in 3 rounds at fanout 1")
+	}
+	if res.Converged {
+		t.Error("a truncated run must not report Converged")
+	}
+}
+
+func TestAntiEntropyRoundsMonotone(t *testing.T) {
+	if AntiEntropyRounds(1, 2) != 0 {
+		t.Error("single peer needs 0 rounds")
+	}
+	small := AntiEntropyRounds(100, 2)
+	large := AntiEntropyRounds(10000, 2)
+	if small <= 0 || large <= small {
+		t.Errorf("rounds should grow with n: %d vs %d", small, large)
+	}
+	fastFanout := AntiEntropyRounds(10000, 8)
+	if fastFanout >= large {
+		t.Errorf("higher fanout should need fewer rounds: %d vs %d", fastFanout, large)
+	}
+	// The estimate should be in the same ballpark as simulation.
+	rng := xrand.New(9)
+	res, _ := Spread(1000, 0, GossipConfig{Fanout: 2, MaxRound: 1000}, rng)
+	est := AntiEntropyRounds(1000, 2)
+	if est < res.Rounds/3 || est > res.Rounds*3 {
+		t.Errorf("estimate %d far from simulated %d", est, res.Rounds)
+	}
+}

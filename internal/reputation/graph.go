@@ -3,9 +3,8 @@
 // reputation values in a P2P network is assumed", Section I), plus the two
 // propagation algorithms its related work discusses (Section II-C): the
 // EigenTrust algorithm of Kamvar et al. and the maximum-flow trust metric of
-// Feldman et al. It also provides the shared- and private-history stores of
-// the trust-based incentive taxonomy (Section II-B2) and a gossip protocol
-// that disseminates reputation values with tunable fanout.
+// Feldman et al. It also provides a gossip protocol that disseminates
+// reputation values with tunable fanout.
 //
 // # Sparse EigenTrust
 //
@@ -91,41 +90,42 @@
 // per-source sequences. Trust vectors computed at a refresh are published
 // as immutable TrustSnapshot values readers grab with one atomic load.
 //
-// # Destination-range sharded solver
+// # One matrix, one loop
 //
-// ShardedWorkspace runs the power iteration across K shards that
+// The EigenTrust machinery is a single mechanism: one normalized matrix
+// (the CSR, whose transposed, destination-major arrays the iteration
+// gathers over), one gather kernel (ShardSlice.gather), and one
+// power-iteration loop (pre-trust fill, warm/cold start, L1 convergence
+// test, renormalization, warm-start state) that both workspaces embed.
+//
+// Because the transposed layout is destination-major, the destination range
+// ShardRange(n, K, s) is a contiguous window of those arrays. A ShardSlice
+// is a view of that window — what a real transport would ship to shard s,
+// nothing copied — and a ShardPlan is one CSR plus its K views, re-cut only
+// after a structural rebuild; value refreshes write through to the arrays
+// the views alias.
+//
+// EigenTrustWorkspace is the K=1 plan gathered inline on the caller's
+// goroutine. ShardedWorkspace runs the same loop across K shards that
 // communicate only by message passing — goroutines and explicit channels
-// stand in for network processes, so the per-round exchange protocol (not
-// shared memory) is what the implementation exercises. Each shard owns the
-// contiguous destination range ShardRange(n, K, s) of the transposed CSR;
-// LogGraph compaction emits the per-shard slices directly (emitShardSlices
-// into a ShardPlan), so no shard materializes the global matrix and a
-// slice's nnz shrinks proportionally with K. Per round a shard gathers its
-// output rows from its local copy of the t-vector, ships the slice to the
-// K−1 peers and the combiner, and waits for the combiner's continue/stop
-// broadcast; links are double-buffered by round parity so a sender one
-// round ahead never overwrites a slice a slower receiver still reads.
-//
-// Bit-identity with the serial solver holds for every shard count because
+// stand in for network processes — with links double-buffered by round
+// parity; ShardStats reports rounds, exchange bytes (8·n·K·(1+rounds)) and
+// per-shard rows/nnz. The two are bit-identical for every K because
 // sharding only moves where a component is computed, never the arithmetic
-// order: each destination gathers sources ascending exactly as the serial
-// loop does, dangling mass and renormalization sum serially in index
-// order, and the convergence decision is made once by the combiner over
-// the assembled full vector — per-shard partial deltas would regroup the
-// float additions and could flip the Epsilon stopping test. ShardPlan
-// shares the dirty-row refresh path with CSR (pattern-stable churn
-// re-normalizes only the touched rows in the affected slices), warm starts
-// work exactly as in the serial workspace, and ShardStats reports rounds,
-// exchange bytes (8·n·K·(1+rounds)), and per-shard rows/nnz.
+// order: the dangling, convergence and renormalization sums run serially in
+// index order inside the one loop, over the assembled full vector (summing
+// per-shard partial deltas would regroup the float additions and could flip
+// the Epsilon stopping test).
 //
 // # Determinism
 //
 // EigenTrust, EigenTrustDense, EigenTrustWorkspace.Compute, and
-// ComputeParallel at any worker count all return bit-identical vectors for
-// the same graph and configuration: each component's accumulation order is
-// fixed by the CSR layout (sources ascending) rather than by scheduling or
-// map iteration order, row normalization sums entries in ascending column
-// order, and the dangling and convergence sums run serially in index order.
+// ShardedWorkspace.Compute at any shard count all return bit-identical
+// vectors for the same graph, configuration and start vector: each
+// component's accumulation order is fixed by the CSR layout (sources
+// ascending) rather than by scheduling or map iteration order, row
+// normalization sums entries in ascending column order, and the dangling
+// and convergence sums run serially in index order.
 // Because normalization always sums rows in ascending column order, the
 // vectors are also bit-identical between the map-backed and the edge-log
 // graph, and MaxFlow canonicalizes its input through AppendEdges so its

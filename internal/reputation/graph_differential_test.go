@@ -128,9 +128,8 @@ func buildGraphPair(t *testing.T, n int, density float64, seed uint64) (*TrustGr
 
 // TestEigenTrustBitIdenticalAcrossGraphs pins the acceptance criterion:
 // EigenTrust over the edge-log graph is bit-identical to the map-backed
-// graph — against the dense reference and through the sparse workspace at
-// every worker count, with the log graph checked both compacted and with a
-// pending tail.
+// graph — against the dense reference and through the sparse solver, with
+// the log graph checked both compacted and with a pending tail.
 func TestEigenTrustBitIdenticalAcrossGraphs(t *testing.T) {
 	cfg := DefaultEigenTrust()
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -147,18 +146,16 @@ func TestEigenTrustBitIdenticalAcrossGraphs(t *testing.T) {
 		if gotDense, _ := EigenTrustDense(lg, cfg); !reflect.DeepEqual(gotDense, want) {
 			t.Fatalf("seed %d: dense over log graph differs", seed)
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			gotMap, err := EigenTrustParallel(ref, cfg, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotLog, err := EigenTrustParallel(lg, cfg, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotMap, want) || !reflect.DeepEqual(gotLog, want) {
-				t.Fatalf("seed %d workers %d: sparse paths differ from dense", seed, workers)
-			}
+		gotMap, err := EigenTrust(ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotLog, err := EigenTrust(lg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotMap, want) || !reflect.DeepEqual(gotLog, want) {
+			t.Fatalf("seed %d: sparse paths differ from dense", seed)
 		}
 		// A pending tail (uncompacted statements) must not change results.
 		rng := xrand.New(seed + 99)
@@ -179,8 +176,8 @@ func TestEigenTrustBitIdenticalAcrossGraphs(t *testing.T) {
 	}
 }
 
-// TestMaxFlowBitIdenticalAcrossGraphs pins MaxFlow, MaxFlowTrust, and the
-// parallel variant to identical outputs over the two graph stores: the
+// TestMaxFlowBitIdenticalAcrossGraphs pins MaxFlow and MaxFlowTrust to
+// identical outputs over the two graph stores: the
 // canonical edge list fixes the augmenting order, so the flows are
 // bit-identical, not merely close.
 func TestMaxFlowBitIdenticalAcrossGraphs(t *testing.T) {
@@ -210,15 +207,6 @@ func TestMaxFlowBitIdenticalAcrossGraphs(t *testing.T) {
 		}
 		if !reflect.DeepEqual(vm, vl) {
 			t.Fatalf("seed %d: MaxFlowTrust differs", seed)
-		}
-		for _, workers := range []int{1, 3, 8} {
-			vp, err := MaxFlowTrustParallel(lg, 0, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(vp, vm) {
-				t.Fatalf("seed %d workers %d: parallel MaxFlowTrust differs", seed, workers)
-			}
 		}
 	}
 }

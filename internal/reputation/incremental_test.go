@@ -108,15 +108,19 @@ func TestWarmStartWithinBound(t *testing.T) {
 }
 
 // TestWarmStartDeterministicAcrossWorkers pins that warm-started solves are
-// bit-identical for every worker count: two workspaces driven through the
-// same solve/churn sequence, one serial and one parallel, never diverge.
+// bit-identical for every executor count: a serial workspace and a sharded
+// one (one goroutine per shard) driven through the same solve/churn
+// sequence never diverge.
 func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	cfg := DefaultEigenTrust()
 	for _, workers := range []int{2, 3, 8} {
 		g1 := randomLogGraph(t, 50, 0.12, 42)
 		g2 := randomLogGraph(t, 50, 0.12, 42)
 		ws1 := NewEigenTrustWorkspace()
-		ws2 := NewEigenTrustWorkspace()
+		ws2, err := NewShardedWorkspace(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rng1 := xrand.New(5)
 		rng2 := xrand.New(5)
 		churn := func(g *LogGraph, rng *xrand.Source) {
@@ -134,12 +138,12 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := ws2.ComputeParallel(g2, cfg, workers)
+			par, err := ws2.Compute(g2, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("workers=%d step %d: warm parallel diverges from warm serial", workers, step)
+				t.Fatalf("workers=%d step %d: warm sharded diverges from warm serial", workers, step)
 			}
 			if ws1.LastStats().Iterations != ws2.LastStats().Iterations {
 				t.Fatalf("workers=%d step %d: iteration counts diverge (%d vs %d)",

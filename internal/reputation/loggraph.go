@@ -684,108 +684,3 @@ func (g *LogGraph) Compact() {
 		g.patGen++
 	}
 }
-
-// emitShardSlices scatters the compacted adjacency directly into p's K
-// transposed destination-range slices — the sharded analogue of
-// CSR.rebuildFromLog, sharing its counting-scatter shape but never
-// materializing a global CSR: each destination's entries land straight in
-// the slice of the shard that owns it.
-//
-// Order and arithmetic are chosen so every slice is bit-identical to the
-// corresponding range of the global transposed CSR: the scatter runs
-// sources ascending (so each destination's sources come out ascending, the
-// gather order the solver's determinism rests on), and each stored value is
-// g.val[k]/rowSum where rowSum accumulates the forward row in ascending
-// column order — the exact expression CSR.normalizeRow evaluates.
-//
-// Alongside the slices it records, for each forward entry k, the owning
-// shard (eShard) and the slot within that shard's TVal (ePos), so a
-// pattern-stable refresh can renormalize a dirty row's values in place
-// without re-scattering. Each slice also receives its own copy of the
-// global dangling-row list: in a real deployment every shard carries that
-// list (it is O(dangling) metadata, not graph structure), because the
-// dangling mass is a function of the full t-vector each shard assembles
-// anyway.
-func (g *LogGraph) emitShardSlices(p *ShardPlan) {
-	g.Compact()
-	n := g.n
-	k := p.k
-	p.n = n
-
-	// Destination → owning shard for the contiguous equal split. The
-	// boundaries are floor(s·n/k); note floor(j·k/n) does NOT invert that
-	// partition (e.g. n=10, k=3, j=3), hence the explicit table.
-	p.shardOf = growInt32s(p.shardOf, n)
-	for s := 0; s < k; s++ {
-		lo, hi := ShardRange(n, k, s)
-		sl := &p.slices[s]
-		sl.Lo, sl.Hi, sl.N = lo, hi, n
-		for j := lo; j < hi; j++ {
-			p.shardOf[j] = int32(s)
-		}
-		sl.TRowPtr = growInts(sl.TRowPtr, hi-lo+1)
-		for r := 0; r <= hi-lo; r++ {
-			sl.TRowPtr[r] = 0
-		}
-	}
-
-	// Pass 1: per-slice in-degree counts, then local prefix sums.
-	nnz := len(g.colIdx)
-	p.eShard = growInt32s(p.eShard, nnz)
-	p.ePos = growInts(p.ePos, nnz)
-	for _, j := range g.colIdx {
-		sl := &p.slices[p.shardOf[j]]
-		sl.TRowPtr[int(j)-sl.Lo+1]++
-	}
-	for s := 0; s < k; s++ {
-		sl := &p.slices[s]
-		rows := sl.Hi - sl.Lo
-		for r := 0; r < rows; r++ {
-			sl.TRowPtr[r+1] += sl.TRowPtr[r]
-		}
-		m := sl.TRowPtr[rows]
-		sl.TColIdx = growInt32s(sl.TColIdx, m)
-		sl.TVal = growFloats(sl.TVal, m)
-	}
-
-	// Pass 2: forward → per-slice transpose scatter, rows ascending, with
-	// the normalization division fused in. cur[j] is destination j's next
-	// free slot within its owning slice.
-	p.cur = growInts(p.cur, n)
-	for s := 0; s < k; s++ {
-		sl := &p.slices[s]
-		for j := sl.Lo; j < sl.Hi; j++ {
-			p.cur[j] = sl.TRowPtr[j-sl.Lo]
-		}
-	}
-	p.dang = p.dang[:0]
-	for i := 0; i < n; i++ {
-		lo, hi := g.rowPtr[i], g.rowPtr[i+1]
-		if lo == hi {
-			p.dang = append(p.dang, int32(i))
-			continue
-		}
-		sum := 0.0
-		for e := lo; e < hi; e++ {
-			sum += g.val[e]
-		}
-		for e := lo; e < hi; e++ {
-			j := g.colIdx[e]
-			s := p.shardOf[j]
-			sl := &p.slices[s]
-			pos := p.cur[j]
-			p.cur[j] = pos + 1
-			sl.TColIdx[pos] = int32(i)
-			sl.TVal[pos] = g.val[e] / sum
-			p.eShard[e] = s
-			p.ePos[e] = pos
-		}
-	}
-	for s := 0; s < k; s++ {
-		sl := &p.slices[s]
-		sl.Dangling = append(sl.Dangling[:0], p.dang...)
-	}
-
-	p.follow.rebuilt(g)
-	p.lastRefresh = RefreshStats{RowsTouched: n}
-}

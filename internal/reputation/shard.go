@@ -6,10 +6,11 @@ import "fmt"
 // solver (the round protocol lives in shardsolver.go): ShardSlice is what
 // one shard of a distributed deployment would hold — a contiguous
 // destination range of the transposed, normalized local-trust matrix and
-// nothing else — and ShardPlan is the compaction-side bookkeeping that
-// emits and incrementally refreshes the K slices straight from a
-// LogGraph's compacted adjacency, without ever materializing a global CSR
-// on the sharded path.
+// nothing else — and ShardPlan cuts the K slices out of the one transposed
+// CSR. The transposed layout is destination-major, so shard s's range
+// [Lo,Hi) is a contiguous window of CSR.tRowPtr/tColIdx/tVal: a slice is a
+// view of that window (exactly the bytes a real transport would ship), not
+// a second matrix.
 
 // ShardSlice is one destination-range slice of the transposed local-trust
 // matrix: everything shard s needs to compute components [Lo,Hi) of a
@@ -30,10 +31,10 @@ type ShardSlice struct {
 	TRowPtr []int
 	TColIdx []int32
 	TVal    []float64
-	// Dangling is this shard's own copy of the global dangling-row list
-	// (peers with no outgoing trust, ascending). Every shard carries the
-	// full list because the dangling mass is a sum over the full t-vector,
-	// which each shard assembles from the exchanged slices anyway.
+	// Dangling is the global dangling-row list (peers with no outgoing
+	// trust, ascending). Every shard carries the full list because the
+	// dangling mass is a sum over the full t-vector, which each shard
+	// assembles from the exchanged slices anyway.
 	Dangling []int32
 }
 
@@ -43,8 +44,8 @@ func (s *ShardSlice) Rows() int { return s.Hi - s.Lo }
 // NNZ returns the number of stored normalized trust entries.
 func (s *ShardSlice) NNZ() int { return len(s.TVal) }
 
-// danglingMass sums t over the dangling rows in ascending order — the same
-// loop, in the same order, as CSR.danglingMass.
+// danglingMass sums t over the dangling rows in ascending order — the walk
+// mass the iteration redistributes to the pre-trust distribution.
 func (s *ShardSlice) danglingMass(t []float64) float64 {
 	dm := 0.0
 	for _, i := range s.Dangling {
@@ -56,8 +57,11 @@ func (s *ShardSlice) danglingMass(t []float64) float64 {
 // gather computes dst[0:Rows()] = components [Lo,Hi) of one power
 // iteration from the full previous iterate src. p is the pre-trust
 // distribution restricted to the owned range (p[r] = global p[Lo+r]), dm
-// the dangling mass of src. Per component this is the identical expression,
-// with the identical accumulation order, as EigenTrustWorkspace.gatherRange.
+// the dangling mass of src. This is the only gather kernel: the serial
+// workspace runs it over the single K=1 slice, the sharded solver over each
+// shard's slice. Every component is one contiguous dot product whose
+// accumulation order is fixed by the layout (sources ascending), never by
+// the partition, which is what makes every shard count bit-identical.
 func (s *ShardSlice) gather(dst, src, p []float64, damping, dm float64) {
 	a := damping
 	om := 1 - a
@@ -72,41 +76,24 @@ func (s *ShardSlice) gather(dst, src, p []float64, damping, dm float64) {
 }
 
 // ShardRange returns the destination range [lo, hi) that shard s of k owns
-// over an n-peer graph — the same contiguous equal split the in-process
-// parallel workers use, so shard boundaries line up with worker boundaries.
+// over an n-peer graph: a contiguous equal split.
 func ShardRange(n, k, s int) (lo, hi int) {
 	return s * n / k, (s + 1) * n / k
 }
 
-// ShardPlan owns the K destination-range slices emitted from one LogGraph
-// compaction plus the bookkeeping to refresh them incrementally. It embeds
-// the same logFollower the CSR uses, so a pattern-stable refresh against
-// the log takes the dirty-rows-only path (or the full value copy when
-// another consumer drained a dirty span first) and reports the same
-// RefreshStats vocabulary — per-shard slices never silently degrade to a
-// structural rebuild.
+// ShardPlan is one CSR plus K ShardSlice views of its transposed arrays.
+// Refresh is CSR.Refresh — same rebuild / full-value-copy / dirty-rows-only
+// decision, same RefreshStats — followed, after a structural rebuild only,
+// by re-cutting the views (the rebuild may have reallocated the arrays). A
+// value-only refresh writes through CSR.tPos into the arrays the views
+// alias, so the slices are current without being touched.
 type ShardPlan struct {
-	k, n   int
+	k      int
+	csr    CSR
 	slices []ShardSlice
-
-	// shardOf[j] is the shard owning destination j (the boundary partition
-	// is not invertible by a closed-form floor expression).
-	shardOf []int32
-	// eShard[e]/ePos[e] locate forward entry e of the compacted adjacency
-	// inside the slices: slices[eShard[e]].TVal[ePos[e]]. The value-only
-	// refresh rewrites dirty rows through this map.
-	eShard []int32
-	ePos   []int
-	// dang is the global dangling list scratch; each slice gets a copy.
-	dang []int32
-	// cur is the scatter-cursor scratch, reused across emissions.
-	cur []int
-
-	follow      logFollower
-	lastRefresh RefreshStats
 }
 
-// NewShardPlan emits the k destination-range slices of g's normalized
+// NewShardPlan cuts the k destination-range slices of g's normalized
 // local-trust matrix. k must be at least 1; k larger than the peer count is
 // allowed (the surplus shards own empty ranges).
 func NewShardPlan(g *LogGraph, k int) (*ShardPlan, error) {
@@ -114,11 +101,11 @@ func NewShardPlan(g *LogGraph, k int) (*ShardPlan, error) {
 		return nil, fmt.Errorf("reputation: shard plan needs at least 1 shard, got %d", k)
 	}
 	p := newShardPlan(k)
-	g.emitShardSlices(p)
+	p.Refresh(g)
 	return p, nil
 }
 
-// newShardPlan returns an empty plan; the first Refresh emits the slices.
+// newShardPlan returns an empty plan; the first Refresh cuts the slices.
 func newShardPlan(k int) *ShardPlan {
 	return &ShardPlan{k: k, slices: make([]ShardSlice, k)}
 }
@@ -126,17 +113,11 @@ func newShardPlan(k int) *ShardPlan {
 // Shards returns the number of slices k.
 func (p *ShardPlan) Shards() int { return p.k }
 
-// Len returns the number of peers the slices were emitted for.
-func (p *ShardPlan) Len() int { return p.n }
+// Len returns the number of peers the slices were cut for.
+func (p *ShardPlan) Len() int { return p.csr.n }
 
 // NNZ returns the total number of stored entries across all slices.
-func (p *ShardPlan) NNZ() int {
-	nnz := 0
-	for i := range p.slices {
-		nnz += p.slices[i].NNZ()
-	}
-	return nnz
-}
+func (p *ShardPlan) NNZ() int { return p.csr.NNZ() }
 
 // Slices returns the plan's slices. The returned slice and its contents are
 // owned by the plan and remain valid until the next Refresh.
@@ -145,53 +126,35 @@ func (p *ShardPlan) Slices() []ShardSlice { return p.slices }
 // Slice returns slice s.
 func (p *ShardPlan) Slice(s int) *ShardSlice { return &p.slices[s] }
 
-// LastRefresh returns what the most recent emission/Refresh call did.
-func (p *ShardPlan) LastRefresh() RefreshStats { return p.lastRefresh }
+// LastRefresh returns what the most recent Refresh call did.
+func (p *ShardPlan) LastRefresh() RefreshStats { return p.csr.LastRefresh() }
 
-// Refresh incrementally updates the slices from g, reporting true when the
-// sparsity pattern was stable (value-only path). The tri-path decision
-// mirrors CSR.Refresh exactly: dirty-rows-only when this plan consumed
-// every earlier delta, full value renormalization when another consumer
-// drained a dirty span in between, structural re-emission otherwise. All
-// three paths leave every slice bit-identical to a fresh emission.
-func (p *ShardPlan) Refresh(g *LogGraph) bool {
-	g.Compact()
-	switch p.follow.path(g, p.n) {
-	case refreshDirtyOnly:
-		for _, r := range g.dirtyRows {
-			p.renormalizeRow(g, int(r))
-		}
-		p.lastRefresh = RefreshStats{PatternStable: true, DirtyOnly: true, RowsTouched: len(g.dirtyRows)}
-		p.follow.consumed(g)
-		return true
-	case refreshFullCopy:
-		for i := 0; i < p.n; i++ {
-			p.renormalizeRow(g, i)
-		}
-		p.lastRefresh = RefreshStats{PatternStable: true, RowsTouched: p.n}
-		p.follow.consumed(g)
-		return true
-	default:
-		g.emitShardSlices(p)
-		return false
+// Refresh brings the slices up to date with g, reporting true when the
+// sparsity pattern was stable (value-only path).
+func (p *ShardPlan) Refresh(g Graph) bool {
+	stable := p.csr.Refresh(g)
+	if !stable {
+		p.recut()
 	}
+	return stable
 }
 
-// renormalizeRow recomputes the normalized values of forward row i from g's
-// raw weights and writes them into the owning slices through the
-// eShard/ePos map. Row-local and bit-identical to the emission's division
-// (same divisor accumulation order, same expression), so refreshing any
-// subset of changed rows equals a full re-emission.
-func (p *ShardPlan) renormalizeRow(g *LogGraph, i int) {
-	lo, hi := g.rowPtr[i], g.rowPtr[i+1]
-	if lo == hi {
-		return
-	}
-	sum := 0.0
-	for e := lo; e < hi; e++ {
-		sum += g.val[e]
-	}
-	for e := lo; e < hi; e++ {
-		p.slices[p.eShard[e]].TVal[p.ePos[e]] = g.val[e] / sum
+// recut points every slice at its window of the CSR's transposed arrays.
+// TRowPtr is the one thing a slice owns: the window's row pointers rebased
+// to the slice's first entry.
+func (p *ShardPlan) recut() {
+	c := &p.csr
+	for s := range p.slices {
+		sl := &p.slices[s]
+		lo, hi := ShardRange(c.n, p.k, s)
+		base, end := c.tRowPtr[lo], c.tRowPtr[hi]
+		sl.Lo, sl.Hi, sl.N = lo, hi, c.n
+		sl.TRowPtr = growInts(sl.TRowPtr, hi-lo+1)
+		for r := range sl.TRowPtr {
+			sl.TRowPtr[r] = c.tRowPtr[lo+r] - base
+		}
+		sl.TColIdx = c.tColIdx[base:end:end]
+		sl.TVal = c.tVal[base:end:end]
+		sl.Dangling = c.dangling[:len(c.dangling):len(c.dangling)]
 	}
 }

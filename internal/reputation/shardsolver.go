@@ -1,9 +1,6 @@
 package reputation
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // ShardedWorkspace runs the EigenTrust power iteration across K
 // destination-range shards that communicate only by message passing — the
@@ -19,31 +16,31 @@ import (
 // Round protocol, per solve:
 //
 //  1. The combiner refreshes the ShardPlan from the edge log (dirty-row
-//     incremental when the sparsity pattern is stable), picks the start
-//     vector (previous eigenvector when warm, pre-trust otherwise), and
-//     broadcasts it to every shard.
+//     incremental when the sparsity pattern is stable), lets the shared
+//     power iteration pick the start vector (previous eigenvector when
+//     warm, pre-trust otherwise), and broadcasts it to every shard.
 //  2. Each round, every shard computes the dangling mass from its own
 //     assembled copy of the full t-vector, gathers its output range, and
 //     sends a copy of that slice to each of the other K−1 shards and to
 //     the combiner (an all-to-all exchange); it then assembles the next
 //     full t-vector from its own slice plus the K−1 received ones.
-//  3. The combiner assembles the full next vector from the K slices,
-//     computes the L1 delta serially in full index order — the identical
-//     loop the serial solver runs, so the stopping decision and the round
-//     count are bit-identical for every K — and broadcasts one
-//     continue/stop decision. (Summing per-shard partial deltas would
-//     regroup the float additions and could flip the stopping decision.)
-//  4. After the stop decision the combiner renormalizes serially in index
-//     order and stores the warm-start vector, exactly like the serial
-//     workspace.
+//  3. The combiner assembles the full next vector from the K slices (its
+//     step in the shared loop); the loop computes the L1 delta serially in
+//     full index order — the very loop the serial solver runs, so the
+//     stopping decision and the round count are bit-identical for every K
+//     — and the combiner broadcasts the continue/stop decision. (Summing
+//     per-shard partial deltas would regroup the float additions and could
+//     flip the stopping decision.)
+//  4. After the stop decision the shared loop renormalizes serially in
+//     index order and stores the warm-start vector.
 //
 // Determinism: every output component is one contiguous dot product over a
 // slice row whose source order equals the global transposed CSR's, the
 // dangling/convergence/renormalization sums run in fixed index order at a
 // single site, and the teleportation arithmetic is the same expression as
 // the serial gather — so Compute is bit-identical to
-// EigenTrustWorkspace.Compute (and therefore to ComputeParallel and
-// EigenTrustDense) for every shard count, warm or cold.
+// EigenTrustWorkspace.Compute (and, cold, to EigenTrustDense) for every
+// shard count.
 //
 // Buffer reuse mirrors the serial workspace: per-link send buffers are
 // double-buffered by round parity (a sender may be a full round ahead of a
@@ -54,18 +51,14 @@ import (
 // workspace and valid until the next Compute; a ShardedWorkspace is not
 // safe for concurrent use.
 type ShardedWorkspace struct {
+	// powerIter is the combiner: the full-length vectors, the loop, the
+	// warm-start state, and LastStats/SeedWarm/ResetWarm — the same
+	// iterator, hence the same contract, as EigenTrustWorkspace.
+	powerIter
 	k    int
 	plan *ShardPlan
 
-	// Combiner-side vectors (full length n).
-	p         []float64
-	cur, next []float64
-
-	// Warm-start state, same contract as EigenTrustWorkspace.
-	prev  []float64
-	prevN int
-
-	stats ShardSolveStats
+	shardStats ShardSolveStats
 
 	// Per-shard persistent buffers, indexed by shard.
 	tBuf     [][]float64 // shard's assembled full t-vector
@@ -78,9 +71,9 @@ type ShardedWorkspace struct {
 }
 
 // ShardSolveStats describes what one sharded Compute call did: the round
-// count and convergence outcome (identical to the serial solve's by
-// construction), how much payload crossed the simulated network, the
-// per-shard work split, and which refresh path fed the plan.
+// count and convergence outcome (LastStats in the sharded vocabulary), how
+// much payload crossed the simulated network, the per-shard work split, and
+// which refresh path fed the plan.
 type ShardSolveStats struct {
 	Shards    int
 	Rounds    int  // power-iteration rounds (== serial Iterations)
@@ -110,7 +103,7 @@ func NewShardedWorkspace(k int) (*ShardedWorkspace, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("reputation: sharded workspace needs at least 1 shard, got %d", k)
 	}
-	return &ShardedWorkspace{k: k}, nil
+	return &ShardedWorkspace{k: k, plan: newShardPlan(k)}, nil
 }
 
 // EigenTrustSharded computes the global trust vector with a fresh k-shard
@@ -124,46 +117,32 @@ func EigenTrustSharded(g *LogGraph, cfg EigenTrustConfig, k int) ([]float64, err
 	return sw.Compute(g, cfg)
 }
 
-// Shards returns the configured shard count.
-func (sw *ShardedWorkspace) Shards() int { return sw.k }
-
-// Plan exposes the workspace's current shard plan (for inspection and
-// tests); nil before the first Compute.
-func (sw *ShardedWorkspace) Plan() *ShardPlan { return sw.plan }
-
-// LastStats maps the most recent solve onto the serial solver's stats
-// surface (Rounds reported as Iterations), so GlobalTrust observability
-// works unchanged whichever solver runs.
-func (sw *ShardedWorkspace) LastStats() SolveStats {
-	return SolveStats{
-		Iterations: sw.stats.Rounds,
-		Converged:  sw.stats.Converged,
-		Warm:       sw.stats.Warm,
-		Refresh:    sw.stats.Refresh,
-	}
-}
-
 // ShardStats returns the full sharded stats of the most recent solve. The
 // ShardRows/ShardNNZ slices are owned by the workspace and valid until the
 // next Compute.
-func (sw *ShardedWorkspace) ShardStats() ShardSolveStats { return sw.stats }
+func (sw *ShardedWorkspace) ShardStats() ShardSolveStats { return sw.shardStats }
 
-// SeedWarm installs vec as the previous eigenvector, exactly as if the
-// workspace had just solved and produced it — the same contract as
-// EigenTrustWorkspace.SeedWarm, so a restored sharded solver warm-starts
-// bit-identically to the serial one.
-func (sw *ShardedWorkspace) SeedWarm(vec []float64) {
-	sw.prev = growFloats(sw.prev, len(vec))
-	copy(sw.prev, vec)
-	sw.prevN = len(vec)
+// shardLinks is the combiner's end of one solve's channels — its
+// roundExecutor: a step collects the K shards' output slices, a decision is
+// broadcast back to them.
+type shardLinks struct {
+	plan *ShardPlan
+	cmb  []chan []float64 // shard s → combiner: s's output slice
+	dec  []chan bool      // combiner → shard s: continue/stop
 }
 
-// ResetWarm discards the warm-start state; the next solve runs cold.
-func (sw *ShardedWorkspace) ResetWarm() { sw.prevN = 0 }
+func (l *shardLinks) step(dst, _ []float64) {
+	for s, ch := range l.cmb {
+		sl := <-ch
+		lo := l.plan.slices[s].Lo
+		copy(dst[lo:lo+len(sl)], sl)
+	}
+}
 
-// shardReport is each shard's end-of-solve accounting message.
-type shardReport struct {
-	bytes int64
+func (l *shardLinks) decide(cont bool) {
+	for _, ch := range l.dec {
+		ch <- cont
+	}
 }
 
 // Compute runs the sharded power iteration on g and returns the global
@@ -175,29 +154,14 @@ func (sw *ShardedWorkspace) Compute(g *LogGraph, cfg EigenTrustConfig) ([]float6
 		return nil, err
 	}
 	k := sw.k
-	if sw.plan == nil {
-		sw.plan = newShardPlan(k)
-	}
 	sw.plan.Refresh(g)
-
-	sw.p = growFloats(sw.p, n)
-	sw.cur = growFloats(sw.cur, n)
-	sw.next = growFloats(sw.next, n)
-	cfg.fillPreTrust(sw.p)
-	warm := !cfg.ColdStart && sw.prevN == n
-	if warm {
-		copy(sw.cur, sw.prev)
-	} else {
-		copy(sw.cur, sw.p)
-	}
-
+	sw.begin(n, cfg, sw.plan.LastRefresh())
 	sw.ensureBuffers(n)
 
 	// Channels are created per solve: no message can survive into a later
 	// solve, which keeps the protocol state machine trivially restartable.
-	// slCh[from][to] carries from's output slice to shard to; cmbCh[s]
-	// carries shard s's slice to the combiner; decCh fans the combiner's
-	// continue/stop decision out; startCh delivers the start vector.
+	// slCh[from][to] carries from's output slice to shard to; startCh
+	// delivers the start vector.
 	slCh := make([][]chan []float64, k)
 	for a := 0; a < k; a++ {
 		slCh[a] = make([]chan []float64, k)
@@ -207,70 +171,32 @@ func (sw *ShardedWorkspace) Compute(g *LogGraph, cfg EigenTrustConfig) ([]float6
 			}
 		}
 	}
-	cmbCh := make([]chan []float64, k)
-	decCh := make([]chan bool, k)
+	links := &shardLinks{plan: sw.plan, cmb: make([]chan []float64, k), dec: make([]chan bool, k)}
 	startCh := make([]chan []float64, k)
-	reports := make(chan shardReport, k)
+	reports := make(chan int64, k) // each shard's end-of-solve byte count
 	for s := 0; s < k; s++ {
-		cmbCh[s] = make(chan []float64, 1)
-		decCh[s] = make(chan bool, 1)
+		links.cmb[s] = make(chan []float64, 1)
+		links.dec[s] = make(chan bool, 1)
 		startCh[s] = make(chan []float64, 1)
 	}
 	for s := 0; s < k; s++ {
-		go sw.shardMain(s, cfg.Damping, slCh, cmbCh[s], decCh[s], startCh[s], reports)
+		go sw.shardMain(s, cfg.Damping, slCh, links.cmb[s], links.dec[s], startCh[s], reports)
 	}
 
 	bytes := int64(0)
 	for s := 0; s < k; s++ {
-		copy(sw.startBuf[s], sw.cur)
+		copy(sw.startBuf[s], sw.t)
 		startCh[s] <- sw.startBuf[s]
 		bytes += 8 * int64(n)
 	}
 
-	rounds, converged := 0, false
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		for s := 0; s < k; s++ {
-			sl := <-cmbCh[s]
-			lo := sw.plan.slices[s].Lo
-			copy(sw.next[lo:lo+len(sl)], sl)
-		}
-		// Full-index-order serial delta — identical to the serial solver's
-		// convergence loop, hence identical stopping decisions for every K.
-		delta := 0.0
-		for j := 0; j < n; j++ {
-			delta += math.Abs(sw.next[j] - sw.cur[j])
-		}
-		sw.cur, sw.next = sw.next, sw.cur
-		rounds++
-		if delta < cfg.Epsilon {
-			converged = true
-		}
-		cont := !converged && iter+1 < cfg.MaxIter
-		for s := 0; s < k; s++ {
-			decCh[s] <- cont
-		}
-		if !cont {
-			break
-		}
-	}
-	for i := 0; i < k; i++ {
-		r := <-reports
-		bytes += r.bytes
-	}
+	tv := sw.iterate(cfg, links)
 
-	// Final renormalization in fixed index order, same as the serial path.
-	sum := 0.0
-	for _, x := range sw.cur {
-		sum += x
+	// Every shard exits on the stop decision and reports; receiving all K
+	// reports is the join — no shard goroutine outlives Compute.
+	for i := 0; i < k; i++ {
+		bytes += <-reports
 	}
-	if sum > 0 {
-		for j := range sw.cur {
-			sw.cur[j] /= sum
-		}
-	}
-	sw.prev = growFloats(sw.prev, n)
-	copy(sw.prev, sw.cur)
-	sw.prevN = n
 
 	rows := make([]int, k)
 	nnz := make([]int, k)
@@ -278,24 +204,24 @@ func (sw *ShardedWorkspace) Compute(g *LogGraph, cfg EigenTrustConfig) ([]float6
 		rows[s] = sw.plan.slices[s].Rows()
 		nnz[s] = sw.plan.slices[s].NNZ()
 	}
-	sw.stats = ShardSolveStats{
+	sw.shardStats = ShardSolveStats{
 		Shards:         k,
-		Rounds:         rounds,
-		Converged:      converged,
-		Warm:           warm,
+		Rounds:         sw.stats.Iterations,
+		Converged:      sw.stats.Converged,
+		Warm:           sw.stats.Warm,
 		BytesExchanged: bytes,
 		ShardRows:      rows,
 		ShardNNZ:       nnz,
-		Refresh:        sw.plan.LastRefresh(),
+		Refresh:        sw.stats.Refresh,
 	}
-	return sw.cur, nil
+	return tv, nil
 }
 
 // shardMain is one shard's solve loop. It touches only its own slice, its
 // own buffers, and the channels; everything else it learns arrives as a
 // message. Receives iterate over peers in fixed index order — no select —
 // so the protocol itself is deterministic, not just the arithmetic.
-func (sw *ShardedWorkspace) shardMain(s int, damping float64, slCh [][]chan []float64, cmb chan []float64, dec chan bool, start chan []float64, reports chan shardReport) {
+func (sw *ShardedWorkspace) shardMain(s int, damping float64, slCh [][]chan []float64, cmb chan []float64, dec chan bool, start chan []float64, reports chan int64) {
 	k := sw.k
 	sl := &sw.plan.slices[s]
 	rows := sl.Rows()
@@ -339,7 +265,7 @@ func (sw *ShardedWorkspace) shardMain(s int, damping float64, slCh [][]chan []fl
 		}
 		parity ^= 1
 	}
-	reports <- shardReport{bytes: bytes}
+	reports <- bytes
 }
 
 // ensureBuffers (re)sizes every per-shard buffer for an n-peer solve,

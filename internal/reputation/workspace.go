@@ -1,40 +1,41 @@
 package reputation
 
-import (
-	"math"
-	"runtime"
-	"sync"
-)
+import "math"
 
-// EigenTrustWorkspace holds everything a repeated EigenTrust computation
-// needs — the CSR matrix, the iteration vectors, and the parallel-iteration
-// machinery — so that steady-state recomputation allocates nothing:
-//
-//   - The CSR is refreshed in place while the graph's sparsity pattern is
-//     stable (the common case when trust merely accumulates on existing
-//     edges) and rebuilt into the same buffers when edges appear or vanish.
-//   - The pre-trust, iteration, and scratch vectors are reused across calls.
-//   - Compute (serial) performs no allocation at all once the buffers have
-//     grown to the graph's size; ComputeParallel additionally spawns its
-//     worker goroutines per call (a handful of small allocations, constant
-//     in n and nnz).
-//
-// Determinism guarantee: the returned vector is a pure function of the
-// graph and the configuration — identical across runs, across worker
-// counts (workers=1 and workers=max are bit-identical), and identical to
-// the dense reference EigenTrustDense. This holds because every output
-// component is a gather over the transposed CSR whose accumulation order is
-// fixed by the layout, the dangling and convergence sums run serially in
-// index order, and the teleportation arithmetic is the same expression
-// everywhere.
-//
-// The returned slice is owned by the workspace and valid until the next
-// Compute/ComputeParallel call; callers that need to retain it must copy.
-// A workspace is not safe for concurrent use.
-type EigenTrustWorkspace struct {
-	csr     CSR
+// SolveStats describes what one Compute call did: how hard the iteration
+// worked and which refresh path fed it. It is the observability surface
+// threaded up through GlobalTrust and /v1/stats; a solve that ran out of
+// iterations without meeting Epsilon reports Converged == false.
+type SolveStats struct {
+	Iterations int  // power iterations executed (≥ 1)
+	Converged  bool // the L1 delta dropped below Epsilon within MaxIter
+	Warm       bool // started from the previous eigenvector, not pre-trust
+	Refresh    RefreshStats
+}
+
+// roundExecutor is what a solver plugs into the shared power iteration: how
+// one iterate becomes the next, and who needs to hear whether another round
+// follows. The serial workspace gathers inline and tells nobody; the
+// sharded workspace collects the K shards' slices and broadcasts the
+// decision to them.
+type roundExecutor interface {
+	// step writes one power iteration of src into dst.
+	step(dst, src []float64)
+	// decide announces whether another round follows this one.
+	decide(cont bool)
+}
+
+// powerIter is the EigenTrust power iteration itself — the one loop both
+// workspaces embed. It owns everything about a solve that does not depend
+// on where the gather runs: the pre-trust distribution, the start-vector
+// choice, the convergence test, the final renormalization, the warm-start
+// state, and the stats. All sums (L1 delta, renormalization) run serially
+// in index order at this single site, so the stopping decision — and with
+// it the iteration count and the result bits — cannot depend on the
+// executor.
+type powerIter struct {
 	p       []float64 // pre-trust distribution
-	t, next []float64 // iteration vectors (swapped each step)
+	t, next []float64 // iteration vectors (swapped each round)
 
 	// Warm-start state: the previous solve's eigenvector. The next solve
 	// starts from it (instead of the pre-trust vector) when prevN matches
@@ -44,205 +45,142 @@ type EigenTrustWorkspace struct {
 	prevN int
 
 	stats SolveStats // what the most recent solve did
-
-	// Per-iteration parameters the workers read; set before each barrier.
-	workers  int
-	damping  float64
-	dmass    float64
-	src, dst []float64
-
-	start  []chan int     // per-worker: 1 = run one iteration slice, 0 = exit
-	done   sync.WaitGroup // per-iteration barrier
-	exited sync.WaitGroup // per-run join: all workers gone before run returns
 }
 
-// NewEigenTrustWorkspace returns an empty workspace; buffers are sized on
-// first use and grown only when the graph outgrows them.
-func NewEigenTrustWorkspace() *EigenTrustWorkspace {
-	return &EigenTrustWorkspace{}
-}
+// LastStats returns what the most recent Compute call did. Zero-valued
+// before the first solve.
+func (it *powerIter) LastStats() SolveStats { return it.stats }
 
-// SolveStats describes what one Compute/ComputeParallel call did: how hard
-// the iteration worked and which refresh path fed it. It is the
-// observability surface ISSUE 9 threads up through GlobalTrust and
-// /v1/stats, and it fixes the old silent-MaxIter bug: a solve that ran out
-// of iterations without meeting Epsilon now reports Converged == false.
-type SolveStats struct {
-	Iterations int  // power iterations executed (≥ 1)
-	Converged  bool // the L1 delta dropped below Epsilon within MaxIter
-	Warm       bool // started from the previous eigenvector, not pre-trust
-	Refresh    RefreshStats
-}
-
-// CSR exposes the workspace's current matrix (for inspection and tests).
-func (ws *EigenTrustWorkspace) CSR() *CSR { return &ws.csr }
-
-// LastStats returns what the most recent Compute/ComputeParallel call did.
-// Zero-valued before the first solve.
-func (ws *EigenTrustWorkspace) LastStats() SolveStats { return ws.stats }
-
-// SeedWarm installs vec as the workspace's previous eigenvector, exactly as
-// if the workspace had just solved and produced it. Snapshot restore uses
-// this so a restored engine's next warm-started solve runs bit-identically
-// to the original's — both start from the same bits.
-func (ws *EigenTrustWorkspace) SeedWarm(vec []float64) {
-	ws.prev = growFloats(ws.prev, len(vec))
-	copy(ws.prev, vec)
-	ws.prevN = len(vec)
+// SeedWarm installs vec as the previous eigenvector, exactly as if the
+// workspace had just solved and produced it. Snapshot restore uses this so
+// a restored engine's next warm-started solve runs bit-identically to the
+// original's — both start from the same bits.
+func (it *powerIter) SeedWarm(vec []float64) {
+	it.prev = growFloats(it.prev, len(vec))
+	copy(it.prev, vec)
+	it.prevN = len(vec)
 }
 
 // ResetWarm discards the warm-start state; the next solve runs cold.
-func (ws *EigenTrustWorkspace) ResetWarm() { ws.prevN = 0 }
+func (it *powerIter) ResetWarm() { it.prevN = 0 }
 
-// Compute runs the serial sparse power iteration on g and returns the
-// global trust vector. Steady-state calls (same graph size, stable sparsity
-// pattern) allocate nothing.
-func (ws *EigenTrustWorkspace) Compute(g Graph, cfg EigenTrustConfig) ([]float64, error) {
-	return ws.run(g, cfg, 1)
-}
-
-// ComputeParallel is Compute with the gather phase partitioned across
-// workers (0 = GOMAXPROCS). Results are bit-identical to Compute for every
-// worker count.
-func (ws *EigenTrustWorkspace) ComputeParallel(g Graph, cfg EigenTrustConfig, workers int) ([]float64, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return ws.run(g, cfg, workers)
-}
-
-func (ws *EigenTrustWorkspace) run(g Graph, cfg EigenTrustConfig, workers int) ([]float64, error) {
-	n := g.Len()
-	if err := cfg.validate(n); err != nil {
-		return nil, err
-	}
-	ws.csr.Refresh(g)
-
-	ws.p = growFloats(ws.p, n)
-	ws.t = growFloats(ws.t, n)
-	ws.next = growFloats(ws.next, n)
-	cfg.fillPreTrust(ws.p)
-	warm := !cfg.ColdStart && ws.prevN == n
+// begin sizes the vectors for an n-peer solve, fills the pre-trust
+// distribution, and loads the start vector into it.t: the previous
+// eigenvector when warm, pre-trust otherwise. cfg must already be validated.
+func (it *powerIter) begin(n int, cfg EigenTrustConfig, refresh RefreshStats) {
+	it.p = growFloats(it.p, n)
+	it.t = growFloats(it.t, n)
+	it.next = growFloats(it.next, n)
+	cfg.fillPreTrust(it.p)
+	warm := !cfg.ColdStart && it.prevN == n
 	if warm {
-		copy(ws.t, ws.prev)
+		copy(it.t, it.prev)
 	} else {
-		copy(ws.t, ws.p)
+		copy(it.t, it.p)
 	}
+	it.stats = SolveStats{Warm: warm, Refresh: refresh}
+}
 
-	if workers > n {
-		workers = n
-	}
-	ws.workers = workers
-	ws.damping = cfg.Damping
-	if workers > 1 {
-		ws.spawnWorkers(workers)
-		defer ws.stopWorkers(workers)
-	}
-
-	iters, converged := 0, false
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		ws.src, ws.dst = ws.t, ws.next
-		ws.dmass = ws.csr.danglingMass(ws.t)
-		if workers > 1 {
-			ws.done.Add(workers)
-			for w := 0; w < workers; w++ {
-				ws.start[w] <- 1
-			}
-			ws.done.Wait()
-		} else {
-			ws.gatherRange(0, n)
-		}
-		// The convergence sum runs serially in index order so the stopping
-		// decision — and with it the iteration count — is identical for
-		// every worker count.
+// iterate runs rounds through ex until the L1 delta drops below Epsilon or
+// MaxIter rounds have run, then renormalizes, records the warm-start state,
+// and returns the result (owned by the iterator, valid until the next
+// begin).
+func (it *powerIter) iterate(cfg EigenTrustConfig, ex roundExecutor) []float64 {
+	n := len(it.t)
+	for {
+		ex.step(it.next, it.t)
 		delta := 0.0
 		for j := 0; j < n; j++ {
-			delta += math.Abs(ws.next[j] - ws.t[j])
+			delta += math.Abs(it.next[j] - it.t[j])
 		}
-		ws.t, ws.next = ws.next, ws.t
-		iters++
-		if delta < cfg.Epsilon {
-			converged = true
+		it.t, it.next = it.next, it.t
+		it.stats.Iterations++
+		it.stats.Converged = delta < cfg.Epsilon
+		cont := !it.stats.Converged && it.stats.Iterations < cfg.MaxIter
+		ex.decide(cont)
+		if !cont {
 			break
 		}
 	}
 	// Final renormalization sheds the few-ulp drift that row-normalization
 	// rounding accumulates over the iterations, so the result sums to 1 to
-	// near machine precision (again in fixed index order).
+	// near machine precision.
 	sum := 0.0
-	for _, x := range ws.t {
+	for _, x := range it.t {
 		sum += x
 	}
 	if sum > 0 {
-		for j := range ws.t {
-			ws.t[j] /= sum
+		for j := range it.t {
+			it.t[j] /= sum
 		}
 	}
-	ws.prev = growFloats(ws.prev, n)
-	copy(ws.prev, ws.t)
-	ws.prevN = n
-	ws.stats = SolveStats{
-		Iterations: iters,
-		Converged:  converged,
-		Warm:       warm,
-		Refresh:    ws.csr.LastRefresh(),
-	}
-	return ws.t, nil
+	it.prev = growFloats(it.prev, n)
+	copy(it.prev, it.t)
+	it.prevN = n
+	return it.t
 }
 
-// gatherRange computes dst[j] for j in [lo, hi): one dot product over the
-// transposed CSR row plus the analytic dangling and teleportation terms.
-// Every component's arithmetic is independent of the partition, which is
-// what makes serial and parallel runs bit-identical.
-func (ws *EigenTrustWorkspace) gatherRange(lo, hi int) {
-	a := ws.damping
-	om := 1 - a
-	dm := ws.dmass
-	src, dst, p := ws.src, ws.dst, ws.p
-	tp, tc, tv := ws.csr.tRowPtr, ws.csr.tColIdx, ws.csr.tVal
-	for j := lo; j < hi; j++ {
-		s := 0.0
-		for k := tp[j]; k < tp[j+1]; k++ {
-			s += src[tc[k]] * tv[k]
-		}
-		dst[j] = om*(s+dm*p[j]) + a*p[j]
-	}
+// EigenTrustWorkspace holds everything a repeated EigenTrust computation
+// needs — the matrix and the iteration vectors — so that steady-state
+// recomputation allocates nothing:
+//
+//   - The CSR is refreshed in place while the graph's sparsity pattern is
+//     stable (the common case when trust merely accumulates on existing
+//     edges) and rebuilt into the same buffers when edges appear or vanish.
+//   - The pre-trust, iteration, and warm-start vectors are reused across
+//     calls.
+//
+// It is the K=1 case of the sharded solver run inline: a one-slice
+// ShardPlan whose single slice spans the whole transposed CSR, gathered on
+// the caller's goroutine by the same kernel and driven by the same loop.
+//
+// Determinism guarantee: the returned vector is a pure function of the
+// graph, the configuration, and the warm-start state — identical across
+// runs, identical to ShardedWorkspace at every shard count, and (cold)
+// identical to the dense reference EigenTrustDense. This holds because
+// every output component is a gather over the transposed CSR whose
+// accumulation order is fixed by the layout, the dangling and convergence
+// sums run serially in index order, and the teleportation arithmetic is the
+// same expression everywhere.
+//
+// The returned slice is owned by the workspace and valid until the next
+// Compute call; callers that need to retain it must copy. A workspace is
+// not safe for concurrent use.
+type EigenTrustWorkspace struct {
+	powerIter
+	plan    *ShardPlan
+	damping float64 // the current solve's cfg.Damping, read by step
 }
 
-// spawnWorkers starts one goroutine per worker for the duration of a run,
-// reusing the start channels across calls.
-func (ws *EigenTrustWorkspace) spawnWorkers(workers int) {
-	for len(ws.start) < workers {
-		ws.start = append(ws.start, make(chan int, 1))
-	}
-	ws.exited.Add(workers)
-	for w := 0; w < workers; w++ {
-		go ws.powerWorker(w)
-	}
+// NewEigenTrustWorkspace returns an empty workspace; buffers are sized on
+// first use and grown only when the graph outgrows them.
+func NewEigenTrustWorkspace() *EigenTrustWorkspace {
+	return &EigenTrustWorkspace{plan: newShardPlan(1)}
 }
 
-// stopWorkers tells every worker to exit and joins them, so no goroutine
-// from this run survives into a later one — the channels are drained and
-// idle when the next spawnWorkers reuses them.
-func (ws *EigenTrustWorkspace) stopWorkers(workers int) {
-	for w := 0; w < workers; w++ {
-		ws.start[w] <- 0
+// CSR exposes the workspace's current matrix for inspection and tests.
+// Read-only: rebuilding it directly would leave the plan's slice view stale.
+func (ws *EigenTrustWorkspace) CSR() *CSR { return &ws.plan.csr }
+
+// Compute runs the power iteration on g and returns the global trust
+// vector. Steady-state calls (same graph size, stable sparsity pattern)
+// allocate nothing.
+func (ws *EigenTrustWorkspace) Compute(g Graph, cfg EigenTrustConfig) ([]float64, error) {
+	n := g.Len()
+	if err := cfg.validate(n); err != nil {
+		return nil, err
 	}
-	ws.exited.Wait()
+	ws.plan.Refresh(g)
+	ws.begin(n, cfg, ws.plan.LastRefresh())
+	ws.damping = cfg.Damping
+	return ws.iterate(cfg, ws), nil
 }
 
-// powerWorker owns the destination range [w·n/W, (w+1)·n/W) and processes
-// one gather per start signal until told to exit. The channel send/receive
-// pairs order the worker's reads of the workspace fields after the
-// coordinator's writes.
-func (ws *EigenTrustWorkspace) powerWorker(w int) {
-	defer ws.exited.Done()
-	for cmd := range ws.start[w] {
-		if cmd == 0 {
-			return
-		}
-		n := ws.csr.n
-		ws.gatherRange(w*n/ws.workers, (w+1)*n/ws.workers)
-		ws.done.Done()
-	}
+// step and decide make the workspace its own roundExecutor: the single
+// slice gathered inline, and nobody to notify.
+func (ws *EigenTrustWorkspace) step(dst, src []float64) {
+	sl := ws.plan.Slice(0)
+	sl.gather(dst, src, ws.p, ws.damping, sl.danglingMass(src))
 }
+
+func (ws *EigenTrustWorkspace) decide(bool) {}

@@ -14,6 +14,14 @@ const (
 	EventContrib = "contrib"
 )
 
+// maxEventWeight is the largest W one event may carry. The store
+// accumulates weights in float64; without a ceiling two acknowledged 1e308
+// statements on one edge sum to +Inf, row normalization stores Inf/Inf =
+// NaN, and the served vector goes NaN. At 1e12 per statement an edge needs
+// more than 1e296 acknowledged statements to overflow, while every
+// realistic weight (bandwidth units, trust scores) sits far below it.
+const maxEventWeight = 1e12
+
 // Event is one ingested statement. Its source peer — the author whose
 // statement order must be preserved — is always From.
 type Event struct {
@@ -27,9 +35,9 @@ type Event struct {
 }
 
 // validate reports the first reason e cannot be admitted to an n-peer
-// store. Range and sign errors are rejected at admission (400) rather than
-// silently dropped at apply time, so an acknowledged event is always a
-// state-changing one.
+// store. Range, sign and magnitude errors are rejected at admission (400)
+// rather than silently dropped at apply time, so an acknowledged event is
+// always a state-changing one that leaves the store finite.
 func (e Event) validate(n int) error {
 	if e.Type != EventTrust && e.Type != EventContrib {
 		return fmt.Errorf("unknown event type %q", e.Type)
@@ -47,6 +55,8 @@ func (e Event) validate(n int) error {
 		return fmt.Errorf("accumulated trust must be > 0, got %v", e.W)
 	case e.Type == EventTrust && e.Set && e.W < 0:
 		return fmt.Errorf("overwritten trust must be >= 0, got %v", e.W)
+	case !(e.W <= maxEventWeight): // also refuses NaN
+		return fmt.Errorf("weight must be <= %g, got %v", float64(maxEventWeight), e.W)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -180,6 +181,62 @@ func TestIngestRejectsMalformed(t *testing.T) {
 	}
 	if dump := decodeBody[edgesResponse](t, resp); len(dump.Edges) != 0 {
 		t.Fatalf("invalid batch leaked edges: %+v", dump.Edges)
+	}
+}
+
+// TestIngestBoundsWeight tries the float overflow over HTTP: two 1e308
+// statements on one edge would accumulate to +Inf and normalize to NaN.
+// Each is refused whole-batch (400, the valid event beside it not applied),
+// weights at the ceiling are still admitted, and the vector served after a
+// solve over them is finite and still encodes.
+func TestIngestBoundsWeight(t *testing.T) {
+	_, ts := newTestServer(t, Config{Peers: 4})
+	for i := 0; i < 2; i++ {
+		resp := postJSON(t, ts.URL+"/v1/events", `{"events":[
+			{"type":"trust","from":2,"to":3,"w":1},
+			{"type":"trust","from":0,"to":1,"w":1e308}]}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("overflowing weight #%d: status %d, want 400", i, resp.StatusCode)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/events", fmt.Sprintf(`{"events":[
+		{"type":"trust","from":0,"to":1,"w":%g},
+		{"type":"contrib","from":0,"to":1,"w":%g},
+		{"type":"trust","from":0,"to":2,"w":1}]}`, float64(maxEventWeight), float64(maxEventWeight)))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("weights at the ceiling: status %d, want 202", resp.StatusCode)
+	}
+	for _, path := range []string{"/v1/flush", "/v1/refresh"} {
+		resp = postJSON(t, ts.URL+path, "")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status %d", path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := decodeBody[edgesResponse](t, resp)
+	if len(dump.Edges) != 2 || dump.Edges[0].W != 2*maxEventWeight {
+		t.Fatalf("only the admitted batch may be applied: %+v", dump.Edges)
+	}
+	resp, err = http.Get(ts.URL + "/v1/top?k=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := decodeBody[topResponse](t, resp) // a NaN would not have encoded
+	sum := 0.0
+	for _, pt := range top.Top {
+		if math.IsNaN(pt.Trust) || math.IsInf(pt.Trust, 0) || pt.Trust < 0 {
+			t.Fatalf("served vector not finite: %+v", top.Top)
+		}
+		sum += pt.Trust
+	}
+	if len(top.Top) != 4 || math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("served vector is not a distribution over 4 peers: %+v", top.Top)
 	}
 }
 
@@ -396,6 +453,7 @@ func TestEventValidate(t *testing.T) {
 		{Type: EventTrust, From: 0, To: 1, W: 1},
 		{Type: EventTrust, From: 0, To: 1, W: 0, Set: true}, // deletion
 		{Type: EventContrib, From: 1, To: 0, W: 0.5},
+		{Type: EventContrib, From: 1, To: 0, W: maxEventWeight},
 	}
 	for _, e := range ok {
 		if err := e.validate(4); err != nil {
@@ -409,6 +467,9 @@ func TestEventValidate(t *testing.T) {
 		{Type: EventTrust, From: 0, To: 1, W: 0},
 		{Type: EventTrust, From: 0, To: 1, W: -1, Set: true},
 		{Type: EventContrib, From: 0, To: 1, W: 0},
+		{Type: EventTrust, From: 0, To: 1, W: 2 * maxEventWeight},
+		{Type: EventTrust, From: 0, To: 1, W: math.Inf(1), Set: true},
+		{Type: EventContrib, From: 0, To: 1, W: math.NaN()},
 	}
 	for _, e := range bad {
 		if err := e.validate(4); err == nil {
