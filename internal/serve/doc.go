@@ -19,10 +19,23 @@
 //     source's statement order is preserved end to end — the precondition
 //     of the store's serial-reference guarantee: any concurrent schedule
 //     that preserves per-source order compacts bit-identical to a serial
-//     LogGraph replay. When a shard's queue is full the whole per-shard
-//     group of the request is refused with 429 (never partially applied
-//     and never reordered), which is the admission-control/backpressure
-//     boundary.
+//     LogGraph replay. Admission is all or nothing per request: when the
+//     queue of any shard the request touches is full, the whole request is
+//     refused with 429 and none of it is applied (so a retry of the
+//     identical batch never duplicates or reorders a statement), which is
+//     the admission-control/backpressure boundary.
+//
+//     The decode contract: the body is read once, and the canonical wire
+//     form — {"events":[{…},…]} with the five lower-case keys in any order,
+//     "trust"/"contrib", unsigned decimal integers for from/to, a JSON
+//     number for w, true/false for set, JSON whitespace; what json.Marshal
+//     of the request writes — is decoded by a one-pass scanner (decode.go)
+//     without reflection. The scanner has no error of its own: on anything
+//     else it declines, and the same bytes (followed by the read error, if
+//     the read failed) go through encoding/json, which alone defines the
+//     accepted language and every 400. FuzzScanEvents pins that whatever
+//     the scanner accepts, encoding/json decodes to the same events,
+//     weights bit for bit (both convert with strconv.ParseFloat).
 //
 //   - The read plane (GET /v1/reputation, /v1/top, /v1/alloc, /v1/trust)
 //     serves from the last published reputation.TrustSnapshot — one atomic
@@ -48,9 +61,13 @@
 // The maintenance surface (POST /v1/flush, server shutdown) uses writer
 // barriers: a sentinel batch per shard whose completion proves every
 // earlier event has reached the store, followed by a store Flush that
-// publishes the folded state. Shutdown then snapshots the scheme state
-// (canonical compacted edge list + trust vector) through the binary codec
-// in snapshot.go; a restart loads it, republishes graph epoch and trust
-// snapshot, and resumes bit-identical to a serial replay of everything the
-// dead process had acknowledged and drained.
+// publishes the folded state. Stop drains the writer and then lets the
+// solve plane refresh once more if the drain left it stale, so the vector
+// in memory is the one that belongs to the drained edges. Shutdown then
+// snapshots the scheme state (canonical compacted edge list + trust
+// vector) through the binary codec in snapshot.go; a restart checks the
+// file's length against its header before sizing anything from it, loads
+// it, republishes graph epoch and trust snapshot, and resumes
+// bit-identical to a serial replay of everything the dead process had
+// acknowledged and drained.
 package serve

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,14 +11,16 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"collabnet/internal/incentive"
 	"collabnet/internal/reputation"
 )
 
-// postBatch sends one single-source batch: admitted reports a 202, a 429
+// postBatch sends one batch: admitted reports a 202, a 429
 // is a legitimate refusal (admitted=false), anything else is an error. It
 // never touches testing.T so writer goroutines can call it safely.
 func postBatch(client *http.Client, url string, ev []Event) (admitted bool, err error) {
@@ -42,10 +45,11 @@ func postBatch(client *http.Client, url string, ev []Event) (admitted bool, err 
 
 // TestE2EReplayEquivalence is the serving-path version of the store's
 // serial-reference guarantee, run under -race in CI: concurrent HTTP
-// writers (disjoint source ranges), concurrent readers, and forced solves
-// all interleave; afterwards the server's canonical edge dump must equal a
-// serial LogGraph replay of exactly the accepted events, and its final
-// published vector must equal a serial solve over that replay.
+// writers (disjoint source ranges, multi-shard batches), concurrent readers,
+// forced solves and flushes all interleave; afterwards the server's
+// canonical edge dump must equal a serial LogGraph replay of exactly the
+// accepted events, and its final published vector must equal a serial solve
+// over that replay.
 func TestE2EReplayEquivalence(t *testing.T) {
 	const (
 		peers   = 64
@@ -74,11 +78,12 @@ func TestE2EReplayEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w) + 42))
 			client := &http.Client{}
 			for b := 0; b < batches; b++ {
-				// Sources partition by writer id; one source per batch keeps
-				// admission atomic per request.
-				src := w + writers*rng.Intn(peers/writers)
+				// Sources partition by writer id, so each source's statements
+				// come from one goroutine in order; within a batch they span
+				// shards, which leans on admission being all or nothing.
 				ev := make([]Event, 0, batchSz)
 				for len(ev) < batchSz {
+					src := w + writers*rng.Intn(peers/writers)
 					to := rng.Intn(peers)
 					if to == src {
 						continue
@@ -93,8 +98,8 @@ func TestE2EReplayEquivalence(t *testing.T) {
 					ev = append(ev, e)
 				}
 				for {
-					// Backpressure: retrying the identical single-source batch
-					// preserves per-source order (nothing of it was applied).
+					// Backpressure: retrying the identical batch preserves
+					// per-source order (nothing of it was applied).
 					admitted, err := postBatch(client, ts.URL, ev)
 					if err != nil {
 						t.Error(err)
@@ -128,7 +133,12 @@ func TestE2EReplayEquivalence(t *testing.T) {
 				}
 				resp.Body.Close()
 				if i%25 == 0 {
-					resp, err := client.Post(ts.URL+"/v1/refresh", "application/json", nil)
+					// Forced solves, and writer barriers racing admission.
+					path := "/v1/refresh"
+					if i%50 == 0 {
+						path = "/v1/flush"
+					}
+					resp, err := client.Post(ts.URL+path, "application/json", nil)
 					if err != nil {
 						t.Error(err)
 						return
@@ -376,5 +386,137 @@ func TestSnapshotCodecErrors(t *testing.T) {
 	// Missing file is a cold start, not an error.
 	if _, err := New(Config{Peers: 8, SnapshotPath: filepath.Join(dir, "absent.snap")}); err != nil {
 		t.Fatalf("absent snapshot should cold-start: %v", err)
+	}
+}
+
+// TestSnapshotRefusedNotAllocated feeds the restart path two files whose
+// header promises more than the file holds — ROADMAP's 31-byte file (magic,
+// version, peers 8, edges 2³²) and a 2 MB snapshot cut short by one byte —
+// and requires construction to fail having allocated next to nothing: the
+// lengths are checked against the file before anything is sized from them.
+func TestSnapshotRefusedNotAllocated(t *testing.T) {
+	const peers = 512
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "big.snap")
+	a, err := New(Config{Peers: peers, SnapshotPath: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for from := 0; from < peers; from++ {
+		for d := 1; d <= 180; d++ {
+			if err := a.Store().AddTrust(from, (from+d)%peers, float64(d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := a.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2<<20 {
+		t.Fatalf("snapshot of %d bytes is too small to show up in the heap", len(data))
+	}
+	tiny := []byte(snapshotMagic)
+	for _, w := range []uint64{snapshotVersion, 8, 1 << 32} {
+		tiny = binary.LittleEndian.AppendUint64(tiny, w)
+	}
+	for name, file := range map[string][]byte{"31 bytes": tiny, "one byte short": data[:len(data)-1]} {
+		path := filepath.Join(dir, "bad.snap")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := New(Config{Peers: peers, SnapshotPath: path})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a snapshot shorter than its header implies must fail construction", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: refused after allocating %d bytes", name, grew)
+		}
+	}
+}
+
+// TestStopLeavesMatchingVector pins that a snapshot taken after Stop holds
+// the vector of the edges beside it. The cadence never ticks (Refresh is an
+// hour) and nothing forces a solve, so only Stop's own last refresh can
+// have produced the vector the restarted server serves: it must carry the
+// restored epoch and sit within the warm-start bound of a cold solve over
+// the served edges.
+func TestStopLeavesMatchingVector(t *testing.T) {
+	const peers = 32
+	cfg := Config{Peers: peers, Refresh: time.Hour, SnapshotPath: filepath.Join(t.TempDir(), "state.snap")}
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	rng := rand.New(rand.NewSource(11))
+	for b := 0; b < 40; b++ {
+		ev := make([]Event, 4)
+		for i := range ev {
+			from := rng.Intn(peers / 4) // a skewed graph: far from the uniform founding vector
+			ev[i] = Event{Type: EventContrib, From: from, To: (from + 1 + rng.Intn(peers-1)) % peers, W: 0.1 + rng.Float64()*5}
+		}
+		body, err := json.Marshal(ingestRequest{Events: ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := call(a.Handler(), "POST", "/v1/events", string(body)); rec.Code != http.StatusAccepted {
+			t.Fatalf("ingest status %d", rec.Code)
+		}
+	}
+	a.Stop()
+	if err := a.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(path string, v any) {
+		t.Helper()
+		rec := call(b.Handler(), "GET", path, "")
+		if err := json.Unmarshal(rec.Body.Bytes(), v); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, %v", path, rec.Code, err)
+		}
+	}
+	var st statsResponse
+	read("/v1/stats", &st)
+	if st.TrustEpoch != st.Epoch {
+		t.Fatalf("restored vector is stamped epoch %d, the graph is at %d", st.TrustEpoch, st.Epoch)
+	}
+	var dump edgesResponse
+	read("/v1/edges", &dump)
+	ref, err := reputation.NewLogGraph(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range dump.Edges {
+		if err := ref.SetTrust(e.From, e.To, e.W); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tcfg := reputation.DefaultEigenTrust()
+	cold, err := reputation.EigenTrust(ref, tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top topResponse
+	read(fmt.Sprintf("/v1/top?k=%d", peers), &top)
+	if len(top.Top) != peers {
+		t.Fatalf("served %d components, want %d", len(top.Top), peers)
+	}
+	l1 := 0.0
+	for _, pt := range top.Top {
+		l1 += math.Abs(pt.Trust - cold[pt.Peer])
+	}
+	if bound := 2 * tcfg.Epsilon / tcfg.Damping; l1 > bound {
+		t.Fatalf("snapshot vector is %.3g from a cold solve of the snapshot's edges in L1, bound %.3g", l1, bound)
 	}
 }

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,8 +36,9 @@ type Config struct {
 	// Shards is the queue/ingest shard count for both the serve-level
 	// writer and the concurrent store (0 = DefaultShards).
 	Shards int
-	// QueueDepth is the per-shard admission queue depth in batches; a full
-	// shard refuses its group with 429 (0 = DefaultQueueDepth).
+	// QueueDepth is the per-shard admission queue depth in batches; a
+	// request that touches a full shard is refused whole with 429
+	// (0 = DefaultQueueDepth).
 	QueueDepth int
 	// MaxBatch caps the events accepted in one ingest request
 	// (0 = DefaultMaxBatch).
@@ -87,6 +91,8 @@ type Server struct {
 	reader reputation.TrustReader
 	wr     *writer
 	mux    *http.ServeMux
+
+	scratch sync.Pool // *ingestScratch
 
 	refreshReq chan chan error
 	quit       chan struct{}
@@ -143,6 +149,9 @@ func New(cfg Config) (*Server, error) {
 		stopped:    make(chan struct{}),
 		start:      time.Now(),
 	}
+	s.scratch.New = func() any {
+		return &ingestScratch{counts: make([]int, cfg.Shards), groups: make([][]Event, cfg.Shards)}
+	}
 	if cfg.SnapshotPath != "" {
 		if err := s.loadSnapshot(cfg.SnapshotPath); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("serve: loading snapshot %s: %w", cfg.SnapshotPath, err)
@@ -169,7 +178,8 @@ func (s *Server) Start() {
 }
 
 // Stop quiesces a started server: drains every admitted event into the
-// store, stops the solve plane, and publishes the folded state. Admission
+// store, solves once more if that left the vector stale, stops the solve
+// plane, and publishes the folded state. Admission
 // must have ceased (shut the HTTP listener down first). After Stop the
 // server serves reads only.
 func (s *Server) Stop() {
@@ -184,7 +194,9 @@ func (s *Server) Stop() {
 
 // refreshLoop is the solve plane: one goroutine owning all GlobalTrust
 // state, alternating cadence ticks (skipped while idle) with forced
-// refreshes requested over refreshReq.
+// refreshes requested over refreshReq. Stop closes quit only after the
+// writer has drained, so the last refresh on the way out leaves the vector
+// that matches the edges a snapshot will save beside it.
 func (s *Server) refreshLoop() {
 	defer close(s.stopped)
 	t := time.NewTicker(s.cfg.Refresh)
@@ -192,15 +204,10 @@ func (s *Server) refreshLoop() {
 	for {
 		select {
 		case <-s.quit:
+			s.refreshIfStale()
 			return
 		case <-t.C:
-			ran, err := s.gt.RefreshIfStale()
-			if err != nil {
-				s.solveErrs.Add(1)
-			} else if ran {
-				s.refreshes.Add(1)
-				s.recordSolve()
-			}
+			s.refreshIfStale()
 		case reply := <-s.refreshReq:
 			err := s.gt.RefreshNow()
 			if err != nil {
@@ -211,6 +218,18 @@ func (s *Server) refreshLoop() {
 			}
 			reply <- err
 		}
+	}
+}
+
+// refreshIfStale solves when statements have landed since the last solve.
+// Refresh goroutine only.
+func (s *Server) refreshIfStale() {
+	ran, err := s.gt.RefreshIfStale()
+	if err != nil {
+		s.solveErrs.Add(1)
+	} else if ran {
+		s.refreshes.Add(1)
+		s.recordSolve()
 	}
 }
 
@@ -256,64 +275,117 @@ type ingestRequest struct {
 	Events []Event `json:"events"`
 }
 
-// ingestResponse reports per-request admission: Accepted events are
-// queued for application in order; Rejected events hit a full shard and
-// were refused whole-group (no partial application, no reordering).
+// ingestResponse reports per-request admission, which is all or nothing:
+// either every event is Accepted and queued for application in order, or
+// one of the request's shards was full and every event is Rejected.
 type ingestResponse struct {
 	Accepted int `json:"accepted"`
 	Rejected int `json:"rejected,omitempty"`
 }
 
+// maxPooledBody is the largest body buffer an ingestScratch keeps between
+// requests; a larger one is left to the collector, so one 8 MiB request
+// does not stay resident in a server that otherwise sees 2 KB bodies.
+const maxPooledBody = 1 << 20
+
+// ingestScratch is the per-request working memory of handleIngest, pooled
+// (Server.scratch) because none of it outlives the handler: the raw body,
+// the scanner's event slice (at most MaxBatch long), and the per-shard
+// group sizes and headers (Shards long).
+type ingestScratch struct {
+	body   bytes.Buffer
+	events []Event
+	counts []int
+	groups [][]Event
+}
+
+// errReader returns err from every Read: the tail that replays a body read
+// error to encoding/json behind the bytes that were read before it.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
 // handleIngest admits a batch of events: decode, validate all, group by
-// ingest shard (preserving order), then admit each group atomically.
+// ingest shard (preserving order), then admit all the groups or none.
+//
+// The body is read once. A canonical body (see scanEvents) is decoded by
+// the scanner; any other, or one whose read failed, goes through
+// encoding/json exactly as it would have arrived from the socket — bytes
+// first, read error after — so encoding/json alone defines what is
+// accepted and what each 400 says.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "malformed ingest payload: %v", err)
-		return
+	sc := s.scratch.Get().(*ingestScratch)
+	defer func() {
+		if sc.body.Cap() <= maxPooledBody {
+			s.scratch.Put(sc)
+		}
+	}()
+	sc.body.Reset()
+	// A fresh buffer (the pool is emptied by the collector) would otherwise
+	// reach a bulk-load body by ten doublings; ReadFrom wants MinRead spare.
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		sc.body.Grow(int(n) + bytes.MinRead)
 	}
-	if len(req.Events) == 0 {
+	_, readErr := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var events []Event
+	scanned := false
+	if readErr == nil {
+		events, scanned = scanEvents(sc.body.Bytes(), sc.events, s.cfg.MaxBatch)
+		sc.events = events
+	}
+	if !scanned {
+		var body io.Reader = &sc.body
+		if readErr != nil {
+			body = io.MultiReader(body, errReader{readErr})
+		}
+		var req ingestRequest
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			writeErr(w, http.StatusBadRequest, "malformed ingest payload: %v", err)
+			return
+		}
+		events = req.Events
+	}
+	if len(events) == 0 {
 		writeErr(w, http.StatusBadRequest, "empty event batch")
 		return
 	}
-	if len(req.Events) > s.cfg.MaxBatch {
+	if len(events) > s.cfg.MaxBatch {
 		writeErr(w, http.StatusRequestEntityTooLarge,
-			"batch of %d events exceeds the %d-event cap", len(req.Events), s.cfg.MaxBatch)
+			"batch of %d events exceeds the %d-event cap", len(events), s.cfg.MaxBatch)
 		return
 	}
-	for i, e := range req.Events {
+	for i, e := range events {
 		if err := e.validate(s.cfg.Peers); err != nil {
 			writeErr(w, http.StatusBadRequest, "event %d: %v", i, err)
 			return
 		}
 	}
 	// Group by shard in arrival order: one source's events always form a
-	// single in-order group.
-	groups := make([][]Event, s.cfg.Shards)
-	for _, e := range req.Events {
+	// single in-order group. The groups outlive the handler (the drainers
+	// own them), so they are carved out of one fresh array: count, carve,
+	// fill.
+	clear(sc.counts)
+	for _, e := range events {
+		sc.counts[s.wr.shardFor(e.From)]++
+	}
+	backing := make([]Event, len(events))
+	for sh, n := range sc.counts {
+		sc.groups[sh], backing = backing[:0:n], backing[n:]
+	}
+	for _, e := range events {
 		sh := s.wr.shardFor(e.From)
-		groups[sh] = append(groups[sh], e)
+		sc.groups[sh] = append(sc.groups[sh], e)
 	}
-	resp := ingestResponse{}
-	for sh, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		if s.wr.tryEnqueue(sh, g) {
-			resp.Accepted += len(g)
-		} else {
-			resp.Rejected += len(g)
-		}
-	}
-	s.accepted.Add(uint64(resp.Accepted))
-	s.rejected.Add(uint64(resp.Rejected))
-	if resp.Rejected > 0 {
+	admitted := s.wr.admit(sc.groups)
+	clear(sc.groups) // the drainers own the arrays now; keep no reference in the pool
+	if !admitted {
+		s.rejected.Add(uint64(len(events)))
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, resp)
+		writeJSON(w, http.StatusTooManyRequests, ingestResponse{Rejected: len(events)})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, resp)
+	s.accepted.Add(uint64(len(events)))
+	writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(events)})
 }
 
 // reputationResponse is one peer's view of the last published solve.

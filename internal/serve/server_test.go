@@ -42,6 +42,13 @@ func postJSON(t *testing.T, url, body string) *http.Response {
 	return resp
 }
 
+// call serves one request straight through the handler, without a socket.
+func call(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
+}
+
 func decodeBody[T any](t *testing.T, resp *http.Response) T {
 	t.Helper()
 	defer resp.Body.Close()
@@ -297,6 +304,47 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
+// TestAdmissionIsAtomic pins "nothing is applied" for a request whose
+// sources span shards: with shard 0's one-deep queue full and shard 1's
+// empty, a batch for both is refused whole, and once the planes run no
+// event of it ever reaches the store.
+func TestAdmissionIsAtomic(t *testing.T) {
+	s, err := New(Config{Peers: 8, Shards: 2, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	rec := call(h, "POST", "/v1/events", `{"events":[{"type":"trust","from":0,"to":1,"w":5}]}`)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("first batch status %d, want 202", rec.Code)
+	}
+	rec = call(h, "POST", "/v1/events",
+		`{"events":[{"type":"trust","from":1,"to":2,"w":7},{"type":"trust","from":2,"to":3,"w":9}]}`)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("batch over a full and an empty shard: status %d, want 429", rec.Code)
+	}
+	var resp ingestResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Accepted != 0 || resp.Rejected != 2 {
+		t.Fatalf("refusal must cover the whole request: %s (%v)", rec.Body, err)
+	}
+
+	s.Start()
+	defer s.Stop()
+	if rec = call(h, "POST", "/v1/flush", ""); rec.Code != http.StatusOK {
+		t.Fatalf("flush status %d", rec.Code)
+	}
+	var dump edgesResponse
+	if err := json.Unmarshal(call(h, "GET", "/v1/edges", "").Body.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	if len(dump.Edges) != 1 || dump.Edges[0] != (edgeJSON{From: 0, To: 1, W: 5}) {
+		t.Fatalf("a refused request leaked into the store: %+v", dump.Edges)
+	}
+	if s.accepted.Load() != 1 || s.rejected.Load() != 2 {
+		t.Fatalf("counters accepted=%d rejected=%d", s.accepted.Load(), s.rejected.Load())
+	}
+}
+
 // TestReadsNeverBlockOnQueues pins the plane separation: with the write
 // plane parked (unstarted drainers, queued events), every read endpoint
 // still answers.
@@ -489,13 +537,13 @@ func TestWriterBarrierOrdering(t *testing.T) {
 	defer s.Stop()
 	total := 0.0
 	for i := 1; i <= 50; i++ {
-		if !s.wr.tryEnqueue(0, []Event{{Type: EventTrust, From: 0, To: 1, W: float64(i)}}) {
+		if !s.wr.admit([][]Event{{{Type: EventTrust, From: 0, To: 1, W: float64(i)}}}) {
 			t.Fatalf("enqueue %d refused", i)
 		}
 		total += float64(i)
 	}
 	// Overwrite last: after barrier the value must be exactly the final Set.
-	if !s.wr.tryEnqueue(0, []Event{{Type: EventTrust, From: 0, To: 1, W: 7, Set: true}}) {
+	if !s.wr.admit([][]Event{{{Type: EventTrust, From: 0, To: 1, W: 7, Set: true}}}) {
 		t.Fatal("final set refused")
 	}
 	s.wr.barrier()

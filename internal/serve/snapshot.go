@@ -39,20 +39,32 @@ func (ww *wordWriter) u64(v uint64) {
 
 func (ww *wordWriter) f64(v float64) { ww.u64(math.Float64bits(v)) }
 
+// wordReader decodes the words of a snapshot body through one fixed block:
+// a read per 64 KiB instead of one per word, and never more of the file in
+// memory than that. left is the length the header implies, already checked
+// against the file's size, so a short read means the file changed underfoot.
 type wordReader struct {
-	r   *bufio.Reader
-	buf [8]byte
-	err error
+	r     io.Reader
+	left  uint64 // bytes not yet read into block
+	block [1 << 16]byte
+	rest  []byte // the undecoded tail of block
+	err   error
 }
 
 func (wr *wordReader) u64() uint64 {
+	if len(wr.rest) == 0 && wr.err == nil {
+		n := min(uint64(len(wr.block)), wr.left)
+		if _, wr.err = io.ReadFull(wr.r, wr.block[:n]); wr.err == nil {
+			wr.left -= n
+			wr.rest = wr.block[:n]
+		}
+	}
 	if wr.err != nil {
 		return 0
 	}
-	if _, wr.err = io.ReadFull(wr.r, wr.buf[:]); wr.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(wr.buf[:])
+	v := binary.LittleEndian.Uint64(wr.rest)
+	wr.rest = wr.rest[8:]
+	return v
 }
 
 func (wr *wordReader) f64() float64 { return math.Float64frombits(wr.u64()) }
@@ -138,32 +150,42 @@ func (s *Server) loadSnapshot(path string) error {
 	return s.gt.LoadState(&st)
 }
 
+// readSnapshotFile decodes a snapshot. The header's two length words are
+// checked against the size of the file before anything is sized from them,
+// so a corrupt or truncated file is refused, not allocated for; the words
+// after the header are then decoded block by block.
 func readSnapshotFile(path string) (*incentive.GlobalTrustState, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("reading magic: %w", err)
+	var header [len(snapshotMagic) + 3*8]byte
+	if _, err := io.ReadFull(f, header[:]); err != nil {
+		return nil, fmt.Errorf("reading header: %w", err)
 	}
-	if string(magic) != snapshotMagic {
+	if magic := header[:len(snapshotMagic)]; string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("not a collabserve snapshot (magic %q)", magic)
 	}
-	wr := &wordReader{r: br}
-	if v := wr.u64(); wr.err == nil && v != snapshotVersion {
+	words := header[len(snapshotMagic):]
+	if v := binary.LittleEndian.Uint64(words); v != snapshotVersion {
 		return nil, fmt.Errorf("unsupported snapshot version %d", v)
 	}
-	n := int(wr.u64())
-	nedges := int(wr.u64())
-	if wr.err != nil {
-		return nil, wr.err
-	}
-	if n < 0 || n > 1<<30 || nedges < 0 || nedges > 1<<32 {
+	n, nedges := binary.LittleEndian.Uint64(words[8:]), binary.LittleEndian.Uint64(words[16:])
+	if n > 1<<30 || nedges > 1<<32 {
 		return nil, fmt.Errorf("implausible snapshot header: peers=%d edges=%d", n, nedges)
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	// Edges (from, to, w), trust, score, dirty, sinceRefresh.
+	rest := 8 * (3*nedges + 2*n + 2)
+	if want := int64(len(header)) + int64(rest); fi.Size() != want {
+		return nil, fmt.Errorf("snapshot is %d bytes, its header (peers=%d edges=%d) implies %d",
+			fi.Size(), n, nedges, want)
+	}
+	wr := &wordReader{r: f, left: rest}
 	gs := &incentive.GlobalTrustState{
 		Edges: make([]reputation.Edge, nedges),
 		Trust: make([]float64, n),
@@ -183,7 +205,7 @@ func readSnapshotFile(path string) (*incentive.GlobalTrustState, error) {
 	gs.Dirty = wr.u64() == 1
 	gs.SinceRefresh = int(wr.u64())
 	if wr.err != nil {
-		return nil, wr.err
+		return nil, fmt.Errorf("reading body: %w", wr.err)
 	}
 	return gs, nil
 }

@@ -15,16 +15,21 @@ type batch struct {
 }
 
 // writer is the batched async write plane: per-shard bounded queues in
-// front of the concurrent store's enqueue path. HTTP handlers admit whole
-// per-shard event groups with tryEnqueue (non-blocking — a full queue is a
-// 429, the backpressure signal); one drainer goroutine per shard applies
-// events in queue order. Because events shard by source peer and each
+// front of the concurrent store's enqueue path. HTTP handlers admit a
+// request's per-shard event groups with admit (non-blocking and all or
+// nothing — a full queue is a 429, the backpressure signal); one drainer
+// goroutine per shard applies events in queue order. Because events shard by source peer and each
 // shard's queue is FIFO, per-source statement order is preserved into the
 // store, which is all the store's serial-reference guarantee needs.
 type writer struct {
 	store  reputation.Graph
 	shards []chan batch
 	wg     sync.WaitGroup
+
+	// admitMu serializes everything that sends on the shard queues, so the
+	// room admit saw in a queue is still there when it sends. The drainers,
+	// the only receivers, never take it.
+	admitMu sync.Mutex
 
 	applied atomic.Uint64 // events written through to the store
 }
@@ -52,26 +57,37 @@ func (w *writer) start() {
 // without reordering any source's statements.
 func (w *writer) shardFor(source int) int { return source % len(w.shards) }
 
-// tryEnqueue admits one per-shard event group without blocking; false
-// means the queue is full and the caller must refuse the group (429).
-func (w *writer) tryEnqueue(shard int, events []Event) bool {
-	select {
-	case w.shards[shard] <- batch{events: events}:
-		return true
-	default:
-		return false
+// admit enqueues every non-empty group (indexed by shard) or, when any of
+// their queues is full, none of them; false means the caller must refuse
+// the whole request (429). It never blocks on a queue.
+func (w *writer) admit(groups [][]Event) bool {
+	w.admitMu.Lock()
+	defer w.admitMu.Unlock()
+	for sh, g := range groups {
+		if len(g) > 0 && len(w.shards[sh]) == cap(w.shards[sh]) {
+			return false
+		}
 	}
+	for sh, g := range groups {
+		if len(g) > 0 {
+			w.shards[sh] <- batch{events: g}
+		}
+	}
+	return true
 }
 
 // barrier blocks until every event enqueued before the call has been
 // applied to the store: one sentinel per shard, then one wait per shard.
-// Must not be called before start or after stop (it would block forever on
-// an undrained queue).
+// A sentinel send waits for room in a full queue while holding admitMu,
+// which only needs its drainer to make progress. Must not be called before
+// start or after stop (it would block forever on an undrained queue).
 func (w *writer) barrier() {
 	done := make(chan struct{}, len(w.shards))
+	w.admitMu.Lock()
 	for i := range w.shards {
 		w.shards[i] <- batch{barrier: done}
 	}
+	w.admitMu.Unlock()
 	for range w.shards {
 		<-done
 	}
