@@ -349,14 +349,23 @@ func BenchmarkEigenTrustVariants(b *testing.B) {
 		}
 	})
 	b.Run("csr-reuse", func(b *testing.B) {
+		// The reusable workspace follows an edge-log graph (the map-backed
+		// reference is folded into a scratch log on every call).
+		lg, err := reputation.NewLogGraph(g.Len())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := lg.LoadEdges(g.AppendEdges(nil)); err != nil {
+			b.Fatal(err)
+		}
 		ws := reputation.NewEigenTrustWorkspace()
-		if _, err := ws.Compute(g, cfg); err != nil { // warm the buffers
+		if _, err := ws.Compute(lg, cfg); err != nil { // warm the buffers
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ws.Compute(g, cfg); err != nil {
+			if _, err := ws.Compute(lg, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -368,9 +377,10 @@ func BenchmarkEigenTrustVariants(b *testing.B) {
 // LogGraph. Each iteration accumulates trust on existing edges, churns the
 // sparsity pattern (delete a few random edges, add a few new ones — what a
 // live download mesh does as peers come and go), and refreshes the
-// EigenTrust CSR. The map graph's refresh detects the pattern change and
-// rebuilds by walking n hash maps; the log graph compacts its tail with the
-// counting-scatter merge and hands the CSR a layout-compatible adjacency.
+// EigenTrust CSR. The map graph has no refresh path of its own — every
+// refresh walks its n hash maps into a scratch edge log and builds from that;
+// the log graph compacts its tail with the counting-scatter merge and the
+// CSR patches the rows the tail touched.
 // The log variant must beat the map variant at n >= 10k (the acceptance
 // bar recorded in BENCH_5.json).
 func BenchmarkTrustGraphChurn(b *testing.B) {
@@ -499,6 +509,62 @@ func BenchmarkTrustRefreshIncremental(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkTrustRefreshStructural is the structural twin of
+// BenchmarkTrustRefreshIncremental and the layer number behind cold_churn:
+// n = 20 000 peers, 600 000 edges, and every op deletes the 80 edges the
+// previous op created, creates 80 fresh ones and re-solves warm. The edge
+// count stands still while the pattern moves, so every refresh takes the
+// CSR's structural patch: "rows/op" is the rows it renormalized (the ~160
+// the op wrote to, not n), "iters/op" the warm power iterations that follow,
+// and the loop allocates nothing.
+func BenchmarkTrustRefreshStructural(b *testing.B) {
+	const n, edges, perSide = 20000, 600000, 80
+	g, err := reputation.NewLogGraph(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(26)
+	for g.Compact(); g.NNZ() < edges; g.Compact() {
+		for k := g.NNZ(); k < edges; k++ {
+			if err := g.AddTrust(rng.Intn(n), rng.Intn(n), 1+9*rng.Float64()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	cfg := reputation.DefaultEigenTrust()
+	ws := reputation.NewEigenTrustWorkspace()
+	created := make([]reputation.Edge, 0, perSide)
+	op := func() {
+		for _, e := range created {
+			g.SetTrust(e.From, e.To, 0)
+		}
+		created = created[:0]
+		for len(created) < perSide {
+			e := reputation.Edge{From: rng.Intn(n), To: rng.Intn(n), W: 1 + 9*rng.Float64()}
+			if e.From != e.To && g.Trust(e.From, e.To) == 0 {
+				g.SetTrust(e.From, e.To, e.W)
+				created = append(created, e)
+			}
+		}
+		if _, err := ws.Compute(g, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // prime buffers, head-room and warm state
+		op()
+	}
+	rows, iters := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+		rows += ws.LastStats().Refresh.RowsTouched
+		iters += ws.LastStats().Iterations
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 }
 
 // BenchmarkEigenTrustSharded is ISSUE 10's acceptance benchmark: the

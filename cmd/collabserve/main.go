@@ -73,10 +73,13 @@ func main() {
 				mode = "warm"
 			}
 			refresh := "rebuild"
-			if info.Stats.Refresh.DirtyOnly {
+			switch st := info.Stats.Refresh; {
+			case st.DirtyOnly:
 				refresh = "dirty-rows"
-			} else if info.Stats.Refresh.PatternStable {
+			case st.PatternStable:
 				refresh = "value-copy"
+			case st.RowsTouched < *peers:
+				refresh = "structural" // pattern patched in place, not rebuilt
 			}
 			log.Printf("solve: %s iters=%d converged=%v refresh=%s rows=%d wall=%s",
 				mode, info.Stats.Iterations, info.Stats.Converged,

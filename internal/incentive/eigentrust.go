@@ -193,8 +193,8 @@ func (g *GlobalTrust) recompute() error {
 	var seq uint64
 	if g.cg != nil {
 		// Concurrent mode: solve against the exact merged log under the
-		// store's maintenance lock — the workspace's value-only CSR fast
-		// path still applies because the underlying LogGraph pointer is
+		// store's maintenance lock — the workspace's CSR delta paths
+		// still apply because the underlying LogGraph pointer is
 		// stable — while lock-free readers keep serving the previous epoch.
 		seq = g.cg.Exclusive(func(lg *reputation.LogGraph) {
 			tv, err = g.ws.Compute(lg, g.cfg.Trust)

@@ -1,55 +1,60 @@
 package reputation
 
-import "math"
+import "slices"
 
-// CSR is the normalized local-trust matrix C in compressed sparse row form,
-// kept in two mirrored layouts:
+// CSR is the normalized local-trust matrix C, held once: the values live in
+// the layout the iteration reads, and the other orientation keeps only its
+// pattern.
 //
-//   - forward (source-major): rowPtr/colIdx/val hold row i's normalized
-//     trust c_ij = w_ij/Σ_k w_ik with column indices strictly ascending.
-//     This is the layout row-oriented consumers and the differential tests
-//     read.
-//   - transposed (destination-major): tRowPtr/tColIdx/tVal hold the same
-//     entries grouped by destination, with source indices strictly
-//     ascending. The power iteration next = C^T·t is a gather over this
-//     layout: every output component is one contiguous dot product, so a
-//     destination range is a contiguous window of these arrays (what a
-//     ShardSlice views) and — because each component's accumulation order
-//     is fixed by the layout, not the partition — every shard count yields
-//     bit-identical results.
+//   - transposed values (destination-major): tRowPtr/tColIdx/tVal hold the
+//     normalized trust c_ij = w_ij/Σ_k w_ik grouped by destination j, with
+//     source indices strictly ascending. The power iteration next = C^T·t
+//     is a gather over this layout: every output component is one
+//     contiguous dot product, so a destination range is a contiguous window
+//     of these arrays (what a ShardSlice views) and — because each
+//     component's accumulation order is fixed by the layout, not the
+//     partition — every shard count yields bit-identical results.
+//   - forward pattern (source-major): rowPtr/colIdx mirror the sparsity
+//     pattern of the edge log as of the last refresh, columns strictly
+//     ascending, no values. It is what the next refresh diffs the log's
+//     dirty rows against to learn which entries appeared and vanished.
 //
-// tPos[k] is the transpose slot of forward entry k, so a value-only refresh
-// can renormalize both layouts in one pass. dangling lists the rows with no
-// outgoing trust (ascending); their walk mass is redistributed analytically
-// by the iteration instead of being stored as explicit rows.
+// The per-edge arrays are exactly colIdx, tColIdx and tVal: 16 bytes an
+// edge. Nothing maps a forward entry to its transposed slot; the slot of
+// entry (r, j) is found when needed by a lower-bound search for source r in
+// destination row j. dangling lists the rows with no outgoing trust
+// (ascending); their walk mass is redistributed analytically by the
+// iteration instead of being stored as explicit rows.
 //
-// Construction never sorts: the forward layout is produced by scattering the
-// graph twice (source→transpose→forward), and each scatter preserves the
-// ascending order of the outer loop, so both layouts come out sorted in
-// O(n + nnz) regardless of the graph's map iteration order. All buffers are
-// reused across Rebuild/Refresh calls; once capacities have grown to the
-// graph's size, rebuilding allocates nothing.
+// Every row is normalized from the log's raw weights summed in ascending
+// column order, so the stored values are a pure function of the graph: the
+// three refresh paths (see Refresh) leave the arrays bit-identical to a
+// fresh build of the same graph. Construction never sorts — one count and
+// one scatter with sources ascending leave every destination row sorted.
+// All buffers are reused across calls, and a per-edge array that must grow
+// is given an eighth of head-room, so a refresh allocates nothing once the
+// capacities have settled around the graph's size.
 type CSR struct {
 	n int
-	// Forward layout.
+	// Forward pattern: the log's pattern at the last refresh.
 	rowPtr []int
 	colIdx []int32
-	val    []float64
-	// Transposed layout.
+	// Transposed values.
 	tRowPtr []int
 	tColIdx []int32
 	tVal    []float64
-	// tPos maps forward entry k to its transpose slot.
-	tPos []int
 	// dangling rows (no outgoing trust), ascending.
 	dangling []int32
-	// cur is the scatter-cursor scratch, reused by Rebuild.
-	cur []int
 
-	// follow tracks this CSR's refresh position against the edge-log graph
-	// it was last built from (pattern and dirty-consumption generations) —
-	// the shared plumbing that picks between the rebuild, full-value-copy,
-	// and dirty-rows-only paths.
+	// Scratch: the build's scatter cursor, and the structural patch's
+	// removed/added entries (keyed destination-major, see pairKey) with
+	// their slots.
+	cur            []int
+	removed, added []uint64
+	pos            []int
+
+	// follow is this CSR's refresh position against the edge-log graph it
+	// was last built from; Refresh picks its path from it.
 	follow logFollower
 
 	lastRefresh RefreshStats
@@ -59,64 +64,36 @@ type CSR struct {
 // which log it last built from, at which sparsity-pattern generation, and at
 // which dirty-row consumption generation. Every CSR holds one, so several
 // consumers sharing a log (a serial workspace's CSR, a ShardPlan's) each
-// classify their own refresh and report it in RefreshStats instead of
-// silently falling back to a full copy.
+// classify their own refresh and report it in RefreshStats.
 type logFollower struct {
 	src      *LogGraph
 	patGen   uint64
 	dirtyGen uint64
 }
 
-// refreshPath classifies what a refresh against a compacted LogGraph must do
-// for a consumer currently sized for n rows.
-type refreshPath int
-
-const (
-	// refreshRebuild: the sparsity pattern changed, the size changed, or the
-	// consumer was built from a different (or no) log — full structural
-	// rebuild.
-	refreshRebuild refreshPath = iota
-	// refreshFullCopy: pattern stable, but another consumer drained a dirty
-	// span this one never saw — every row's values must be re-copied.
-	refreshFullCopy
-	// refreshDirtyOnly: pattern stable and this consumer saw every earlier
-	// delta — only the currently-dirty rows need work.
-	refreshDirtyOnly
-)
-
-// path classifies the refresh g requires. g must already be compacted.
-func (f *logFollower) path(g *LogGraph, n int) refreshPath {
-	if f.src != g || f.patGen != g.patGen || n != g.n {
-		return refreshRebuild
-	}
-	if f.dirtyGen != g.dirtyGen {
-		return refreshFullCopy
-	}
-	return refreshDirtyOnly
-}
-
-// rebuilt records that the consumer has just fully rebuilt from g, which
-// subsumes every pending delta.
-func (f *logFollower) rebuilt(g *LogGraph) {
+// caughtUp records that the consumer now matches g: it has folded in (or
+// built past) every pending dirty row.
+func (f *logFollower) caughtUp(g *LogGraph) {
 	f.src = g
 	f.patGen = g.patGen
 	g.consumeDirty()
 	f.dirtyGen = g.dirtyGen
 }
 
-// consumed records that the consumer folded in (or refreshed past) every
-// pending dirty row of g.
-func (f *logFollower) consumed(g *LogGraph) {
-	g.consumeDirty()
-	f.dirtyGen = g.dirtyGen
-}
+// deltaMaxFraction bounds the delta paths: a refresh with more than
+// n/deltaMaxFraction dirty rows takes the build. Per dirty row the delta
+// paths pay one slot search per entry where the build pays one sequential
+// scatter per entry of the whole matrix, so past roughly an eighth of the
+// rows (a bulk load, a simulation step that touches every agent) the build
+// is the cheaper way to the same bits.
+const deltaMaxFraction = 8
 
 // RefreshStats describes what the most recent Rebuild/Refresh call did —
 // the observability hook the solver threads up to /v1/stats.
 type RefreshStats struct {
-	PatternStable bool // value-only path: no structural rebuild was needed
-	DirtyOnly     bool // only the dirty rows were copied and renormalized
-	RowsTouched   int  // rows renormalized (n on the full paths)
+	PatternStable bool // the sparsity pattern was the one already stored
+	DirtyOnly     bool // pattern stable and only the dirty rows were renormalized
+	RowsTouched   int  // rows renormalized (n on the build)
 }
 
 // LastRefresh returns what the most recent Rebuild/Refresh call did.
@@ -133,7 +110,7 @@ func NewCSR(g Graph) *CSR {
 func (c *CSR) Len() int { return c.n }
 
 // NNZ returns the number of stored (positive, normalized) trust entries.
-func (c *CSR) NNZ() int { return len(c.val) }
+func (c *CSR) NNZ() int { return len(c.tVal) }
 
 // Dangling returns a copy of the dangling-row list (peers with no outgoing
 // trust), ascending.
@@ -151,8 +128,10 @@ func (c *CSR) Dense() [][]float64 {
 	m := make([][]float64, c.n)
 	for i := range m {
 		m[i] = make([]float64, c.n)
-		for k := c.rowPtr[i]; k < c.rowPtr[i+1]; k++ {
-			m[i][c.colIdx[k]] = c.val[k]
+	}
+	for j := 0; j < c.n; j++ {
+		for s := c.tRowPtr[j]; s < c.tRowPtr[j+1]; s++ {
+			m[c.tColIdx[s]][j] = c.tVal[s]
 		}
 	}
 	return m
@@ -164,347 +143,275 @@ func (c *CSR) Row(i int, fn func(j int, v float64)) {
 	if i < 0 || i >= c.n {
 		return
 	}
-	for k := c.rowPtr[i]; k < c.rowPtr[i+1]; k++ {
-		fn(int(c.colIdx[k]), c.val[k])
+	for _, j := range c.colIdx[c.rowPtr[i]:c.rowPtr[i+1]] {
+		fn(int(j), c.tVal[c.slot(int32(i), j)])
 	}
 }
 
-// Rebuild reconstructs both layouts from g, reusing every buffer whose
-// capacity suffices. Rows are normalized with their entries summed in
-// ascending column order, so the stored values are bit-reproducible for any
-// map iteration order — and identical between the map-backed and the
-// edge-log graph. Known implementations dispatch to specialized builds (the
-// edge-log graph's compacted adjacency is already in CSR layout, so its
-// build is a copy plus one transpose scatter); anything else goes through
-// the Graph interface.
+// slot returns the position of entry (r, j) in the transposed arrays: the
+// lower bound of source r among destination row j's ascending sources. For
+// an entry not stored it is where the entry would be inserted.
+func (c *CSR) slot(r, j int32) int {
+	lo := c.tRowPtr[j]
+	s, _ := slices.BinarySearch(c.tColIdx[lo:c.tRowPtr[j+1]], r)
+	return lo + s
+}
+
+// Rebuild reconstructs the matrix from g by the full build, whatever the
+// CSR held before.
 func (c *CSR) Rebuild(g Graph) {
-	switch t := g.(type) {
-	case *TrustGraph:
-		c.rebuildFromMap(t)
-	case *LogGraph:
-		c.rebuildFromLog(t)
-	default:
-		c.rebuildGeneric(g)
-	}
-}
-
-// rebuildFromMap is the map-backed build: the original three-pass
-// counting-scatter construction reading the row maps directly.
-func (c *CSR) rebuildFromMap(g *TrustGraph) {
 	c.follow = logFollower{}
-	n := g.Len()
-	if n > math.MaxInt32 {
-		// int32 column indices bound the representation; graphs beyond
-		// 2^31 peers are out of scope for this reproduction.
-		panic("reputation: CSR supports at most 2^31-1 peers")
-	}
-	c.n = n
-	c.rowPtr = growInts(c.rowPtr, n+1)
-	c.tRowPtr = growInts(c.tRowPtr, n+1)
-	c.cur = growInts(c.cur, n)
-	c.dangling = c.dangling[:0]
-
-	// Pass 1: out-degrees into rowPtr[i+1], in-degrees into tRowPtr[j+1].
-	for i := 0; i <= n; i++ {
-		c.rowPtr[i] = 0
-		c.tRowPtr[i] = 0
-	}
-	nnz := 0
-	for i := 0; i < n; i++ {
-		deg := 0
-		for j, w := range g.edges[i] {
-			if w > 0 {
-				deg++
-				c.tRowPtr[j+1]++
-			}
-		}
-		c.rowPtr[i+1] = deg
-		nnz += deg
-		if deg == 0 {
-			c.dangling = append(c.dangling, int32(i))
-		}
-	}
-	for i := 0; i < n; i++ {
-		c.rowPtr[i+1] += c.rowPtr[i]
-		c.tRowPtr[i+1] += c.tRowPtr[i]
-	}
-	c.colIdx = growInt32s(c.colIdx, nnz)
-	c.val = growFloats(c.val, nnz)
-	c.tColIdx = growInt32s(c.tColIdx, nnz)
-	c.tVal = growFloats(c.tVal, nnz)
-	c.tPos = growInts(c.tPos, nnz)
-
-	// Pass 2: scatter edges into the transpose. The outer loop runs sources
-	// ascending and each source contributes at most one entry per
-	// destination, so every transpose row ends up sorted by source — the
-	// unordered map walk within a row cannot reorder it.
-	copy(c.cur, c.tRowPtr[:n])
-	for i := 0; i < n; i++ {
-		for j, w := range g.edges[i] {
-			if w > 0 {
-				s := c.cur[j]
-				c.cur[j] = s + 1
-				c.tColIdx[s] = int32(i)
-				c.tVal[s] = w // raw weight; normalized in pass 4
-			}
-		}
-	}
-
-	// Pass 3: scatter the transpose back into the forward layout (sorting
-	// it by the same argument) and record the slot mapping.
-	copy(c.cur, c.rowPtr[:n])
-	for j := 0; j < n; j++ {
-		for s := c.tRowPtr[j]; s < c.tRowPtr[j+1]; s++ {
-			i := c.tColIdx[s]
-			k := c.cur[i]
-			c.cur[i] = k + 1
-			c.colIdx[k] = int32(j)
-			c.val[k] = c.tVal[s]
-			c.tPos[k] = s
-		}
-	}
-
-	// Pass 4: normalize each row, accumulating the divisor in ascending
-	// column order, and mirror the result into the transpose.
-	c.normalizeFromRaw()
+	c.Refresh(g)
 }
 
-// rebuildFromLog builds both layouts from an edge-log graph. The graph's
-// compacted adjacency is already the forward layout with raw weights —
-// columns ascending, only positive entries — so the build is a straight
-// copy plus a single forward→transpose scatter (sources ascending keeps
-// every transpose row sorted), then the shared normalization pass.
-func (c *CSR) rebuildFromLog(g *LogGraph) {
-	g.Compact()
-	n := g.Len()
-	c.n = n
-	c.rowPtr = growInts(c.rowPtr, n+1)
-	c.tRowPtr = growInts(c.tRowPtr, n+1)
-	c.cur = growInts(c.cur, n)
-	c.dangling = c.dangling[:0]
-
-	nnz := len(g.colIdx)
-	copy(c.rowPtr, g.rowPtr)
-	c.colIdx = growInt32s(c.colIdx, nnz)
-	c.val = growFloats(c.val, nnz)
-	copy(c.colIdx, g.colIdx)
-	copy(c.val, g.val)
-	c.tColIdx = growInt32s(c.tColIdx, nnz)
-	c.tVal = growFloats(c.tVal, nnz)
-	c.tPos = growInts(c.tPos, nnz)
-
-	// In-degrees and dangling rows.
-	for i := 0; i <= n; i++ {
-		c.tRowPtr[i] = 0
+// Refresh brings the matrix up to date with g and reports whether g's
+// sparsity pattern was the one already stored (in which case the arrays
+// were neither moved nor resized, and views of them stay valid). Either way
+// the CSR equals a fresh build of g on return, bit for bit.
+//
+// Against an edge-log graph the refresh costs what changed. The log is
+// compacted, and its pattern and dirty-row generations are compared with
+// the ones recorded at the last refresh:
+//
+//   - values only (pattern generation unchanged): each row the log's tail
+//     touched is renormalized from the log's raw weights into its searched
+//     slots — O(dirty entries), reported as DirtyOnly;
+//   - structural patch (pattern generation moved): the dirty rows are
+//     diffed against the stored forward pattern, the vanished entries are
+//     squeezed out of the transposed arrays and the new ones opened in
+//     place, and the dirty rows renormalized as above — O(dirty entries)
+//     searches plus one memmove of the arrays, not a re-scatter;
+//   - build (first use, another log or size, a dirty span this consumer
+//     never saw because another consumer drained it, or more than
+//     n/deltaMaxFraction dirty rows): one count and one fused
+//     scatter-and-normalize over the whole log, RowsTouched = n.
+//
+// Any other Graph implementation is folded into a scratch LogGraph and
+// built from that, every time.
+func (c *CSR) Refresh(g Graph) bool {
+	lg, ok := g.(*LogGraph)
+	if !ok {
+		lg = logGraphOf(g)
 	}
-	for _, j := range c.colIdx {
+	lg.Compact()
+	f := &c.follow
+	known := f.src == lg && c.n == lg.n
+	stable := known && f.patGen == lg.patGen
+	switch {
+	case !known || f.dirtyGen != lg.dirtyGen || len(lg.dirtyRows) > lg.n/deltaMaxFraction:
+		c.build(lg)
+		c.lastRefresh = RefreshStats{PatternStable: stable, RowsTouched: c.n}
+	case stable:
+		for _, r := range lg.dirtyRows {
+			c.renormalizeRow(lg, r)
+		}
+		c.lastRefresh = RefreshStats{PatternStable: true, DirtyOnly: true, RowsTouched: len(lg.dirtyRows)}
+	default:
+		c.patch(lg)
+		c.lastRefresh = RefreshStats{RowsTouched: len(lg.dirtyRows)}
+	}
+	if ok {
+		f.caughtUp(lg)
+	} else {
+		*f = logFollower{} // a scratch log is not there to be followed
+	}
+	return stable
+}
+
+// logGraphOf folds any Graph into a fresh LogGraph through its OutEdges
+// iterator. A single accumulate onto an absent edge stores the weight
+// itself, so the copy carries g's weights bit for bit.
+func logGraphOf(g Graph) *LogGraph {
+	lg, err := NewLogGraph(g.Len())
+	if err != nil {
+		panic(err) // a Graph has 0 < n < 2^31 peers
+	}
+	var i int
+	add := func(j int, w float64) { lg.AddTrust(i, j, w) }
+	for i = 0; i < lg.n; i++ {
+		g.OutEdges(i, add)
+	}
+	return lg
+}
+
+// build constructs the matrix from the compacted log: count the in-degrees,
+// then walk the rows in ascending order scattering each entry, already
+// divided by its row's ascending-order sum, into its destination row.
+// Sources arrive ascending, so every destination row comes out sorted.
+func (c *CSR) build(g *LogGraph) {
+	n, nnz := g.n, len(g.colIdx)
+	c.n = n
+	c.tRowPtr = growInts(c.tRowPtr, n+1)
+	c.tColIdx = withRoom(c.tColIdx, nnz, 0)
+	c.tVal = withRoom(c.tVal, nnz, 0)
+	c.cur = growInts(c.cur, n)
+
+	clear(c.tRowPtr)
+	for _, j := range g.colIdx {
 		c.tRowPtr[j+1]++
 	}
-	for i := 0; i < n; i++ {
-		c.tRowPtr[i+1] += c.tRowPtr[i]
-		if c.rowPtr[i+1] == c.rowPtr[i] {
-			c.dangling = append(c.dangling, int32(i))
-		}
-	}
-
-	// Forward → transpose scatter: rows ascending, so each transpose row's
-	// sources come out ascending.
-	copy(c.cur, c.tRowPtr[:n])
-	for i := 0; i < n; i++ {
-		for k := c.rowPtr[i]; k < c.rowPtr[i+1]; k++ {
-			j := c.colIdx[k]
-			s := c.cur[j]
-			c.cur[j] = s + 1
-			c.tColIdx[s] = int32(i)
-			c.tVal[s] = c.val[k]
-			c.tPos[k] = s
-		}
-	}
-	c.normalizeFromRaw()
-	c.follow.rebuilt(g)
-	c.lastRefresh = RefreshStats{RowsTouched: n}
-}
-
-// rebuildGeneric builds both layouts from any Graph implementation through
-// its OutEdges iterator, with the same two-scatter no-sort construction and
-// the same arithmetic order as the specialized builds.
-func (c *CSR) rebuildGeneric(g Graph) {
-	c.follow = logFollower{}
-	n := g.Len()
-	if n > math.MaxInt32 {
-		panic("reputation: CSR supports at most 2^31-1 peers")
-	}
-	c.n = n
-	c.rowPtr = growInts(c.rowPtr, n+1)
-	c.tRowPtr = growInts(c.tRowPtr, n+1)
-	c.cur = growInts(c.cur, n)
-	c.dangling = c.dangling[:0]
-
-	for i := 0; i <= n; i++ {
-		c.rowPtr[i] = 0
-		c.tRowPtr[i] = 0
-	}
-	nnz := 0
-	for i := 0; i < n; i++ {
-		deg := 0
-		g.OutEdges(i, func(j int, w float64) {
-			if w > 0 {
-				deg++
-				c.tRowPtr[j+1]++
-			}
-		})
-		c.rowPtr[i+1] = deg
-		nnz += deg
-		if deg == 0 {
-			c.dangling = append(c.dangling, int32(i))
-		}
-	}
-	for i := 0; i < n; i++ {
-		c.rowPtr[i+1] += c.rowPtr[i]
-		c.tRowPtr[i+1] += c.tRowPtr[i]
-	}
-	c.colIdx = growInt32s(c.colIdx, nnz)
-	c.val = growFloats(c.val, nnz)
-	c.tColIdx = growInt32s(c.tColIdx, nnz)
-	c.tVal = growFloats(c.tVal, nnz)
-	c.tPos = growInts(c.tPos, nnz)
-
-	copy(c.cur, c.tRowPtr[:n])
-	for i := 0; i < n; i++ {
-		g.OutEdges(i, func(j int, w float64) {
-			if w > 0 {
-				s := c.cur[j]
-				c.cur[j] = s + 1
-				c.tColIdx[s] = int32(i)
-				c.tVal[s] = w
-			}
-		})
-	}
-	copy(c.cur, c.rowPtr[:n])
 	for j := 0; j < n; j++ {
-		for s := c.tRowPtr[j]; s < c.tRowPtr[j+1]; s++ {
-			i := c.tColIdx[s]
-			k := c.cur[i]
-			c.cur[i] = k + 1
-			c.colIdx[k] = int32(j)
-			c.val[k] = c.tVal[s]
-			c.tPos[k] = s
+		c.cur[j] = c.tRowPtr[j]
+		c.tRowPtr[j+1] += c.tRowPtr[j]
+	}
+	for i := 0; i < n; i++ {
+		lo, hi := g.rowPtr[i], g.rowPtr[i+1]
+		sum := rowSum(g.val[lo:hi])
+		for k := lo; k < hi; k++ {
+			s := c.cur[g.colIdx[k]]
+			c.cur[g.colIdx[k]] = s + 1
+			c.tColIdx[s] = int32(i)
+			c.tVal[s] = g.val[k] / sum
 		}
 	}
-	c.normalizeFromRaw()
+	c.mirror(g)
 }
 
-// normalizeFromRaw divides each forward row (currently holding raw weights)
-// by its ascending-order sum and writes the normalized values into both
-// layouts.
-func (c *CSR) normalizeFromRaw() {
-	for i := 0; i < c.n; i++ {
-		c.normalizeRow(i)
-	}
-}
-
-// normalizeRow renormalizes one forward row (currently holding raw weights)
-// in place and mirrors it into the transpose. Row-local: the arithmetic is
-// exactly one iteration of normalizeFromRaw, so renormalizing any subset of
-// rows whose raw values changed leaves the CSR bit-identical to a full pass.
-func (c *CSR) normalizeRow(i int) {
-	lo, hi := c.rowPtr[i], c.rowPtr[i+1]
+// rowSum adds a row's raw weights in ascending column order — the one
+// divisor every path normalizes with.
+func rowSum(ws []float64) float64 {
 	sum := 0.0
-	for k := lo; k < hi; k++ {
-		sum += c.val[k]
+	for _, w := range ws {
+		sum += w
 	}
+	return sum
+}
+
+// renormalizeRow writes row r of the compacted log, normalized, into the
+// transposed slots of its entries, which must already exist. Row-local: the
+// arithmetic is exactly the build's for that row, so renormalizing any set
+// of rows whose weights changed leaves the CSR bit-identical to a build.
+func (c *CSR) renormalizeRow(g *LogGraph, r int32) {
+	lo, hi := g.rowPtr[r], g.rowPtr[r+1]
+	sum := rowSum(g.val[lo:hi])
 	for k := lo; k < hi; k++ {
-		v := c.val[k] / sum
-		c.val[k] = v
-		c.tVal[c.tPos[k]] = v
+		c.tVal[c.slot(r, g.colIdx[k])] = g.val[k] / sum
 	}
 }
 
-// Refresh incrementally updates the matrix from g. When g's sparsity
-// pattern still matches the stored structure (the common case while trust
-// values merely accumulate), only the values are renormalized — no
-// allocation, no scatter — and Refresh reports true. Any structural change
-// (different size, new or removed edges) falls back to a full Rebuild and
-// reports false. Either way the CSR matches g on return.
-//
-// For an edge-log graph the stability check is O(1): the graph is
-// compacted and its pattern generation compared with the one recorded at
-// the last build. On the stable path the refresh is incremental when this
-// CSR consumed every earlier delta (dirty-generation match): only the rows
-// the log's tail touched since the last refresh are copied and
-// renormalized — O(dirty rows), not O(n). If another consumer drained the
-// dirty set in between, the refresh falls back to the full value copy,
-// which is always correct. The map-backed graph keeps its original per-row
-// pattern probe, and other implementations always rebuild.
-func (c *CSR) Refresh(g Graph) bool {
-	switch t := g.(type) {
-	case *TrustGraph:
-		ok := c.refreshFromMap(t)
-		c.lastRefresh = RefreshStats{PatternStable: ok, RowsTouched: c.n}
-		return ok
-	case *LogGraph:
-		t.Compact()
-		switch c.follow.path(t, c.n) {
-		case refreshDirtyOnly:
-			// Rows outside the pending dirty set already hold the
-			// normalized form of their current weights; refresh only
-			// what changed. Per-row normalization is row-local, so the
-			// result is bit-identical to the full pass below.
-			for _, r := range t.dirtyRows {
-				lo, hi := c.rowPtr[r], c.rowPtr[r+1]
-				copy(c.val[lo:hi], t.val[lo:hi])
-				c.normalizeRow(int(r))
-			}
-			c.lastRefresh = RefreshStats{PatternStable: true, DirtyOnly: true, RowsTouched: len(t.dirtyRows)}
-			c.follow.consumed(t)
-			return true
-		case refreshFullCopy:
-			copy(c.val, t.val)
-			c.normalizeFromRaw()
-			c.lastRefresh = RefreshStats{PatternStable: true, RowsTouched: c.n}
-			c.follow.consumed(t)
-			return true
-		default:
-			c.rebuildFromLog(t)
-			return false
+// mirror copies the log's pattern into the forward arrays and rescans the
+// dangling rows — the last step of every pattern-changing refresh.
+func (c *CSR) mirror(g *LogGraph) {
+	c.rowPtr = growInts(c.rowPtr, g.n+1)
+	copy(c.rowPtr, g.rowPtr)
+	c.colIdx = withRoom(c.colIdx, len(g.colIdx), 0)
+	copy(c.colIdx, g.colIdx)
+	c.dangling = c.dangling[:0]
+	for i := 0; i < g.n; i++ {
+		if g.rowPtr[i] == g.rowPtr[i+1] {
+			c.dangling = append(c.dangling, int32(i))
 		}
-	default:
-		c.rebuildGeneric(g)
-		c.lastRefresh = RefreshStats{RowsTouched: c.n}
-		return false
 	}
 }
 
-// refreshFromMap is Refresh for the map-backed reference graph.
-func (c *CSR) refreshFromMap(g *TrustGraph) bool {
-	if g.Len() != c.n || c.follow.src != nil {
-		c.rebuildFromMap(g)
-		return false
-	}
-	for i := 0; i < c.n; i++ {
-		lo, hi := c.rowPtr[i], c.rowPtr[i+1]
-		row := g.edges[i]
-		if len(row) != hi-lo {
-			c.Rebuild(g)
-			return false
-		}
-		sum := 0.0
-		for k := lo; k < hi; k++ {
-			w := row[int(c.colIdx[k])]
-			if w <= 0 { // edge vanished (or was never there)
-				c.Rebuild(g)
-				return false
+// pairKey packs entry (r, j) so that ascending keys run in the transposed
+// arrays' order: by destination j, then source r.
+func pairKey(r, j int32) uint64 { return uint64(j)<<32 | uint64(r) }
+
+func unpackPair(key uint64) (r, j int32) { return int32(uint32(key)), int32(key >> 32) }
+
+// patch folds a pattern change confined to the log's dirty rows into the
+// transposed arrays in place. Rows outside the dirty set hold exactly what
+// a build would give them, and an entry keeps its order relative to every
+// other entry when its neighbours come and go, so removing the vanished
+// slots, opening the new ones and renormalizing the dirty rows is
+// bit-identical to a build.
+func (c *CSR) patch(g *LogGraph) {
+	// Merge-diff each dirty row's stored pattern against the log's.
+	c.removed, c.added = c.removed[:0], c.added[:0]
+	for _, r := range g.dirtyRows {
+		old := c.colIdx[c.rowPtr[r]:c.rowPtr[r+1]]
+		cur := g.colIdx[g.rowPtr[r]:g.rowPtr[r+1]]
+		for len(old) > 0 || len(cur) > 0 {
+			switch {
+			case len(cur) == 0 || (len(old) > 0 && old[0] < cur[0]):
+				c.removed = append(c.removed, pairKey(r, old[0]))
+				old = old[1:]
+			case len(old) == 0 || cur[0] < old[0]:
+				c.added = append(c.added, pairKey(r, cur[0]))
+				cur = cur[1:]
+			default:
+				old, cur = old[1:], cur[1:]
 			}
-			c.val[k] = w
-			sum += w
-		}
-		for k := lo; k < hi; k++ {
-			v := c.val[k] / sum
-			c.val[k] = v
-			c.tVal[c.tPos[k]] = v
 		}
 	}
-	return true
+	slices.Sort(c.removed)
+	slices.Sort(c.added)
+
+	// Squeeze the removed slots out, moving the runs between them left.
+	if pos := c.locate(c.removed); len(pos) > 0 {
+		w := pos[0]
+		for x, p := range pos {
+			end := len(c.tColIdx)
+			if x+1 < len(pos) {
+				end = pos[x+1]
+			}
+			copy(c.tColIdx[w:], c.tColIdx[p+1:end])
+			w += copy(c.tVal[w:], c.tVal[p+1:end])
+		}
+		c.tColIdx, c.tVal = c.tColIdx[:w], c.tVal[:w]
+		c.shiftRowPtr(c.removed, -1)
+	}
+
+	// Open the added slots, moving the runs between them right, last run
+	// first. The x-th added entry lands x places past its insertion point
+	// in the squeezed arrays; its value is written by the renormalization
+	// below, because its row is dirty.
+	if pos := c.locate(c.added); len(pos) > 0 {
+		end := len(c.tColIdx)
+		c.tColIdx = withRoom(c.tColIdx, end+len(pos), end)
+		c.tVal = withRoom(c.tVal, end+len(pos), end)
+		for x := len(pos) - 1; x >= 0; x-- {
+			p := pos[x]
+			copy(c.tColIdx[p+x+1:], c.tColIdx[p:end])
+			copy(c.tVal[p+x+1:], c.tVal[p:end])
+			c.tColIdx[p+x], _ = unpackPair(c.added[x])
+			end = p
+		}
+		c.shiftRowPtr(c.added, +1)
+	}
+
+	for _, r := range g.dirtyRows {
+		c.renormalizeRow(g, r)
+	}
+	c.mirror(g)
+}
+
+// locate returns the slot of every entry in keys (ascending, so the slots
+// come out ascending too) in the reused c.pos.
+func (c *CSR) locate(keys []uint64) []int {
+	c.pos = c.pos[:0]
+	for _, key := range keys {
+		c.pos = append(c.pos, c.slot(unpackPair(key)))
+	}
+	return c.pos
+}
+
+// shiftRowPtr moves the transposed row boundaries by d for every entry in
+// keys (ascending): each boundary shifts by d times the entries whose
+// destination lies before it.
+func (c *CSR) shiftRowPtr(keys []uint64, d int) {
+	_, first := unpackPair(keys[0])
+	x, shift := 0, 0
+	for j := int(first); j < c.n; j++ {
+		for ; x < len(keys) && int(keys[x]>>32) == j; x++ {
+			shift += d
+		}
+		c.tRowPtr[j+1] += shift
+	}
+}
+
+// withRoom returns s resized to n entries with its first keep entries
+// preserved. An array too short is replaced by one with an eighth of
+// head-room, so an edge count that wanders around a level stops allocating
+// once it has been there.
+func withRoom[T any](s []T, n, keep int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	t := make([]T, n, n+n/8)
+	copy(t, s[:keep])
+	return t
 }
 
 // growInts returns s resized to length n, reusing its backing array when

@@ -37,8 +37,9 @@ func graphFromFuzzBytes(data []byte) *TrustGraph {
 
 // FuzzCSRFromTrustGraph fuzzes CSR construction: whatever graph the bytes
 // decode to — empty, self-loops, all-zero rows, duplicate edges — the CSR
-// must round-trip bit-identically to the dense normalized matrix, keep both
-// layouts sorted, and survive a same-pattern Refresh unchanged.
+// must round-trip bit-identically to the dense normalized matrix and keep
+// both layouts sorted, and the CSR of its edge-log twin must hold the same
+// bits and survive a same-pattern Refresh unchanged.
 func FuzzCSRFromTrustGraph(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -80,12 +81,19 @@ func FuzzCSRFromTrustGraph(f *testing.F) {
 				}
 			}
 		}
-		// A same-pattern refresh must keep the matrix bit-identical.
+		// The map-backed store has no refresh path of its own; its edge-log
+		// twin does, and a same-pattern refresh there must keep the matrix
+		// bit-identical.
+		lg := logGraphOf(g)
+		lc := NewCSR(lg)
 		before := c.Dense()
-		if !c.Refresh(g) {
+		if !reflect.DeepEqual(before, lc.Dense()) {
+			t.Fatal("edge-log twin builds a different matrix")
+		}
+		if !lc.Refresh(lg) || !lc.LastRefresh().DirtyOnly {
 			t.Fatal("refresh of the same graph should take the fast path")
 		}
-		if !reflect.DeepEqual(before, c.Dense()) {
+		if !reflect.DeepEqual(before, lc.Dense()) {
 			t.Fatal("fast-path refresh changed values")
 		}
 	})

@@ -8,44 +8,57 @@
 //
 // # Sparse EigenTrust
 //
-// The normalized local-trust matrix C is held in CSR (compressed sparse
-// row) form in two mirrored layouts — source-major for row consumers and
-// destination-major (the transpose) for the power iteration, which is then
-// an O(nnz) gather: every output component is one contiguous dot product.
-// See the CSR type for the exact layout and the no-sort construction.
+// The normalized local-trust matrix C is held once, in CSR (compressed
+// sparse row) form: the values live destination-major (the transpose),
+// where the power iteration is an O(nnz) gather — every output component is
+// one contiguous dot product — and the source-major side keeps only its
+// sparsity pattern, the thing a refresh diffs against. 16 bytes an edge;
+// an entry's slot is found by binary search in its destination row. See the
+// CSR type for the exact layout and the no-sort construction.
 //
 // # Workspace reuse
 //
 // Callers that recompute trust repeatedly over an evolving graph hold an
-// EigenTrustWorkspace. Its contract: the CSR is value-refreshed in place
-// while the graph's sparsity pattern is stable and rebuilt into the same
-// buffers otherwise; iteration vectors are reused across calls; the
+// EigenTrustWorkspace. Its contract: the CSR is refreshed in place —
+// values, and pattern too — while the delta is small, and built into the
+// same buffers otherwise; iteration vectors are reused across calls; the
 // returned slice is owned by the workspace and valid until the next call.
 // In steady state, Compute performs zero allocations.
 //
 // # Incremental recomputation
 //
 // Refresh cost is proportional to churn, not n, at two layers. First,
-// LogGraph remembers which source rows its uncompacted tail touched; on
-// the pattern-stable path CSR.Refresh copies and re-normalizes only those
-// rows. Row normalization is row-local, so the dirty-row refresh is
-// bit-identical to the full value copy; a generation counter detects a
-// second CSR consuming the same log and drops lagging consumers to the
-// full copy (still exact). Second, the workspace warm-starts each solve
-// from its previous eigenvector. The power-iteration map contracts in L1
-// with factor 1−Damping, so any two results stopped at Epsilon agree
-// within 2·Epsilon/Damping in L1 regardless of starting point — the bound
-// the warm-vs-cold differential tests pin. EigenTrustConfig.ColdStart
-// restores the classic pre-trust start bit-for-bit, and LastStats reports
-// what each solve did (iterations, converged, warm, refresh path).
+// LogGraph remembers which source rows its uncompacted tail touched, and
+// CSR.Refresh takes one of three paths. Values only (pattern generation
+// unchanged): the dirty rows are renormalized from the log's raw weights.
+// Structural patch (pattern generation moved): the dirty rows are diffed
+// against the stored forward pattern, the vanished entries are squeezed out
+// of the transposed arrays and the new ones opened in place, and the same
+// rows renormalized. Build (one count, one fused scatter-and-normalize over
+// the whole log): a first use, a consumer that missed a dirty span — a
+// generation counter detects a second CSR draining the same log, and
+// ClearPeer, which strips a column from rows it does not mark, bumps it
+// too — and a delta of more than n/8 rows, where one slot search per entry
+// of the delta stops being cheaper than one sequential pass over the matrix
+// (bulk loads; simulation steps that touch every agent). Row normalization
+// is row-local and an entry never changes order relative to the others, so
+// all three leave the arrays bit-identical to a fresh build. Second, the
+// workspace warm-starts each solve from its previous eigenvector. The
+// power-iteration map contracts in L1 with factor 1−Damping, so any two
+// results stopped at Epsilon agree within 2·Epsilon/Damping in L1
+// regardless of starting point — the bound the warm-vs-cold differential
+// tests pin. EigenTrustConfig.ColdStart restores the classic pre-trust
+// start bit-for-bit, and LastStats reports what each solve did
+// (iterations, converged, warm, refresh path).
 //
 // # Graph storage
 //
 // Two implementations of the Graph interface hold the local-trust
 // statements. TrustGraph is the map-backed executable reference: one
-// map[int]float64 per row, simple and obviously correct, but every CSR
-// rebuild walks n hash maps and the per-row buckets dominate memory at
-// large n. LogGraph is the production store on the road to the million-peer
+// map[int]float64 per row, simple and obviously correct, but it has no
+// refresh path — every CSR refresh folds its n hash maps into a scratch
+// LogGraph and builds from that — and the per-row buckets dominate memory
+// at large n. LogGraph is the production store on the road to the million-peer
 // target: writes append to an edge log, reads merge the last compacted CSR
 // adjacency with the small uncompacted tail, and a deterministic
 // counting-scatter compaction (log-size watermark or explicit Compact)
@@ -101,9 +114,10 @@
 // Because the transposed layout is destination-major, the destination range
 // ShardRange(n, K, s) is a contiguous window of those arrays. A ShardSlice
 // is a view of that window — what a real transport would ship to shard s,
-// nothing copied — and a ShardPlan is one CSR plus its K views, re-cut only
-// after a structural rebuild; value refreshes write through to the arrays
-// the views alias.
+// nothing copied — and a ShardPlan is one CSR plus its K views, re-cut
+// whenever the pattern moved (a patch shifts the windows, a build may
+// reallocate them); value refreshes write through to the arrays the views
+// alias.
 //
 // EigenTrustWorkspace is the K=1 plan gathered inline on the caller's
 // goroutine. ShardedWorkspace runs the same loop across K shards that

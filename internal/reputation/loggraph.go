@@ -80,12 +80,13 @@ type LogGraph struct {
 	watermark int    // fixed compaction threshold; 0 = automatic
 	patGen    uint64 // bumped whenever the sparsity pattern changes
 
-	// Dirty-row tracking for the CSR's incremental value refresh: every
-	// appended statement marks its source row dirty, and the set survives
-	// compactions until a consumer (CSR.Refresh or a rebuild) folds it in
-	// and calls consumeDirty. dirtyGen is bumped at each consumption so a
-	// second consumer that missed a span detects the gap and falls back to
-	// a full value copy instead of trusting a partial delta.
+	// Dirty-row tracking for the CSR's incremental refresh: every appended
+	// statement marks its source row dirty, and the set survives
+	// compactions until a consumer (CSR.Refresh) folds it in and calls
+	// consumeDirty. Rows outside the set are unchanged since then, values
+	// and pattern. dirtyGen is bumped at each consumption — and by anything
+	// that changes rows without marking them — so a consumer that missed a
+	// span detects the gap and builds instead of trusting a partial delta.
 	dirtyMark []bool
 	dirtyRows []int32
 	dirtyGen  uint64
@@ -237,7 +238,7 @@ func (g *LogGraph) DirtyRowCount() int { return len(g.dirtyRows) }
 // consumeDirty resets the dirty-row set and bumps the consumption
 // generation. Called by a refresh that has folded in (or fully refreshed
 // past) every pending dirty row; the generation bump tells any other
-// consumer that it missed a span and must fall back to a full value copy.
+// consumer that it missed a span and must build.
 func (g *LogGraph) consumeDirty() {
 	if len(g.dirtyRows) == 0 {
 		return // nothing pending: no consumer's view is invalidated
@@ -418,9 +419,11 @@ func (g *LogGraph) Clear() {
 // the identity-churn primitive. The tail is folded in first, then the
 // compacted arrays are filtered with a single write cursor, so the pass is
 // O(nnz) with zero allocations and the slot can be reused under a fresh
-// identity immediately. The pattern generation is bumped only when edges
-// were actually removed, preserving the EigenTrust value-only refresh fast
-// path across no-op clears.
+// identity immediately. The generations are bumped only when edges were
+// actually removed, preserving the EigenTrust value-only refresh fast path
+// across no-op clears. Both are bumped then: column i is stripped from rows
+// that are not marked dirty, so a follower must see a span it cannot patch
+// and rebuild.
 func (g *LogGraph) ClearPeer(i int) error {
 	if i < 0 || i >= g.n {
 		return fmt.Errorf("reputation: peer %d out of range [0,%d)", i, g.n)
@@ -453,6 +456,7 @@ func (g *LogGraph) ClearPeer(i int) error {
 	g.val = g.val[:w]
 	if removed {
 		g.patGen++
+		g.dirtyGen++
 	}
 	g.rowClears++
 	return nil

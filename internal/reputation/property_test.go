@@ -160,9 +160,11 @@ func TestEigenTrustPermutationEquivariance(t *testing.T) {
 }
 
 // TestEigenTrustWorkspaceComputeZeroAlloc pins the workspace-reuse
-// contract: steady-state serial recomputation allocates nothing.
+// contract: steady-state serial recomputation over the edge-log store
+// allocates nothing. (The map-backed reference is folded into a scratch log
+// on every call and makes no such promise.)
 func TestEigenTrustWorkspaceComputeZeroAlloc(t *testing.T) {
-	g := randomGraph(t, 200, 0.08, 9)
+	g := randomLogGraph(t, 200, 0.08, 9)
 	cfg := DefaultEigenTrust()
 	cfg.PreTrusted = []int{0, 7}
 	ws := NewEigenTrustWorkspace()

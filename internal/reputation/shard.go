@@ -82,11 +82,12 @@ func ShardRange(n, k, s int) (lo, hi int) {
 }
 
 // ShardPlan is one CSR plus K ShardSlice views of its transposed arrays.
-// Refresh is CSR.Refresh — same rebuild / full-value-copy / dirty-rows-only
-// decision, same RefreshStats — followed, after a structural rebuild only,
-// by re-cutting the views (the rebuild may have reallocated the arrays). A
-// value-only refresh writes through CSR.tPos into the arrays the views
-// alias, so the slices are current without being touched.
+// Refresh is CSR.Refresh — same values-only / structural-patch / build
+// decision, same RefreshStats — followed, whenever the pattern moved, by
+// re-cutting the views (a patch shifts the window boundaries, a build may
+// reallocate the arrays). A refresh that reports a stable pattern writes
+// each value into its searched slot of the arrays the views alias, so the
+// slices are current without being touched.
 type ShardPlan struct {
 	k      int
 	csr    CSR
@@ -130,7 +131,7 @@ func (p *ShardPlan) Slice(s int) *ShardSlice { return &p.slices[s] }
 func (p *ShardPlan) LastRefresh() RefreshStats { return p.csr.LastRefresh() }
 
 // Refresh brings the slices up to date with g, reporting true when the
-// sparsity pattern was stable (value-only path).
+// sparsity pattern was stable (nothing moved, no re-cut).
 func (p *ShardPlan) Refresh(g Graph) bool {
 	stable := p.csr.Refresh(g)
 	if !stable {

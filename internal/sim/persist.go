@@ -6,8 +6,9 @@
 // every field in declaration order as little-endian 64-bit words (floats
 // via math.Float64bits, so the round trip is bit-identical — the property
 // the resume determinism tests pin). Variable-length sections are
-// length-prefixed; lengths are sanity-bounded on read so a corrupt file
-// errors instead of allocating wildly.
+// length-prefixed; lengths are sanity-bounded on read and every list grows
+// element by element as its bytes arrive, so a corrupt file errors after
+// allocating in proportion to its size, not to what its length words claim.
 package sim
 
 import (
@@ -203,6 +204,19 @@ func (b *binReader) edges(dst []reputation.Edge) []reputation.Edge {
 	return dst
 }
 
+// extend lengthens s by one element: the one already within capacity, so
+// that its own buffers are reused, or an appended zero value. The list
+// decoders grow by it instead of allocating what a length word claims, so a
+// corrupt file can make them allocate no more than a small multiple of the
+// bytes it really holds.
+func extend[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s[:len(s)+1]
+	}
+	var zero T
+	return append(s, zero)
+}
+
 // --- section codecs ---
 
 func writeQSnapshot(b *binWriter, q *agent.QSnapshot) {
@@ -237,11 +251,9 @@ func writeAgents(b *binWriter, agents []agent.Snapshot) {
 
 func readAgents(b *binReader, dst []agent.Snapshot) []agent.Snapshot {
 	n := b.length("agent list")
-	if cap(dst) < n {
-		dst = make([]agent.Snapshot, n)
-	}
-	dst = dst[:n]
+	dst = dst[:0]
 	for k := 0; k < n && b.err == nil; k++ {
+		dst = extend(dst)
 		a := &dst[k]
 		a.Behavior = agent.Behavior(b.i())
 		a.Rational = b.bool()
@@ -282,11 +294,9 @@ func writeLedgers(b *binWriter, ls []core.LedgerState) {
 
 func readLedgers(b *binReader, dst []core.LedgerState) []core.LedgerState {
 	n := b.length("ledger list")
-	if cap(dst) < n {
-		dst = make([]core.LedgerState, n)
-	}
-	dst = dst[:n]
+	dst = dst[:0]
 	for k := 0; k < n && b.err == nil; k++ {
+		dst = extend(dst)
 		l := &dst[k]
 		l.CS.Value = b.f()
 		l.CS.Idle = b.i()
@@ -400,11 +410,9 @@ func writeStore(b *binWriter, s *articles.StoreSnapshot) {
 func readStore(b *binReader, s *articles.StoreSnapshot) {
 	s.RevisionCap = b.i()
 	n := b.length("article list")
-	if cap(s.Articles) < n {
-		s.Articles = make([]articles.ArticleSnapshot, n)
-	}
-	s.Articles = s.Articles[:n]
+	s.Articles = s.Articles[:0]
 	for k := 0; k < n && b.err == nil; k++ {
+		s.Articles = extend(s.Articles)
 		a := &s.Articles[k]
 		a.ID = b.i()
 		a.Title = b.str()

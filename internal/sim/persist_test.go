@@ -2,10 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -208,5 +210,64 @@ func TestChainCheckpointIgnoresCorruptFile(t *testing.T) {
 	want := runChain(checkpointChain(2), ChainOptions{WarmStart: true})
 	if !reflect.DeepEqual(want.Results, got.Results) {
 		t.Fatal("corrupt checkpoint changed the results")
+	}
+}
+
+// TestCorruptSnapshotAllocatesWhatItHolds pins that a length word cannot
+// make the decoders allocate: a 72-byte engine snapshot whose agent list
+// claims 2³¹ entries is an error from ReadFrom, and the same bytes inside a
+// checkpoint file are a cold start — both after allocating less than 1 MiB,
+// not the ~400 GB the length word asks for.
+func TestCorruptSnapshotAllocatesWhatItHolds(t *testing.T) {
+	var body bytes.Buffer
+	b := &binWriter{w: &body}
+	b.i(7) // step
+	for k := 0; k < 4; k++ {
+		b.u64(uint64(k) + 1) // RNG words
+	}
+	b.i(0)       // empty online list
+	b.i(1 << 31) // agent-list length, and nothing after it
+	snap := append([]byte(snapMagic), make([]byte, 8)...)
+	binary.LittleEndian.PutUint64(snap[8:], codecVersion)
+	snap = append(snap, body.Bytes()...)
+	if len(snap) != 72 {
+		t.Fatalf("corrupt snapshot is %d bytes, want 72", len(snap))
+	}
+
+	grew := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if got := grew(func() {
+		var s EngineSnapshot
+		if _, err := s.ReadFrom(bytes.NewReader(snap)); err == nil {
+			t.Error("truncated agent list decoded without error")
+		}
+	}); got >= 1<<20 {
+		t.Errorf("ReadFrom allocated %d bytes for a 72-byte snapshot", got)
+	}
+
+	dir := t.TempDir()
+	const name = "chain"
+	if err := atomicWrite(checkpointPath(dir, name), func(w io.Writer) error {
+		cb := &binWriter{w: w}
+		cb.raw(ckptMagic)
+		cb.u64(codecVersion)
+		cb.str(name)
+		cb.i(0) // no completed points
+		cb.raw(body.String())
+		return cb.err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := grew(func() {
+		if c, ok := loadChainCheckpoint(dir, name, 4); ok || c != nil {
+			t.Error("corrupt checkpoint was accepted")
+		}
+	}); got >= 1<<20 {
+		t.Errorf("loadChainCheckpoint allocated %d bytes for a corrupt checkpoint", got)
 	}
 }
