@@ -875,9 +875,9 @@ func init() {
 // BenchmarkConcurrentTrustRead measures the epoch-pinned lock-free read
 // path of the concurrent trust store under a live writer, against the
 // serial LogGraph read (which tolerates no writer at all). The writer
-// continuously enqueues value updates on existing edges; the default
-// pending watermark turns them into periodic epoch publishes, so the
-// measured reads really do race pointer swaps and buffer retirements.
+// continuously enqueues value updates on existing edges and flushes every
+// 4096 of them (the serving default watermark), so the measured reads
+// really do race pointer swaps and buffer retirements.
 // readers=N adds N-1 background readers so the measured goroutine shares
 // the store with real competition (4 and GOMAXPROCS collapse into one
 // variant on small machines).
@@ -937,10 +937,10 @@ func BenchmarkConcurrentTrustRead(b *testing.B) {
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			wg.Add(1)
-			go func() { // live writer: value updates + watermark publishes
+			go func() { // live writer: value updates + a publish every 4096
 				defer wg.Done()
 				w := xrand.New(1)
-				for {
+				for round := 1; ; round++ {
 					select {
 					case <-stop:
 						return
@@ -949,6 +949,9 @@ func BenchmarkConcurrentTrustRead(b *testing.B) {
 					for k := 0; k < 64; k++ {
 						e := edges[w.Intn(len(edges))]
 						_ = cg.AddTrust(e.from, e.to, 0.01)
+					}
+					if round%64 == 0 {
+						cg.Flush()
 					}
 					runtime.Gosched()
 				}

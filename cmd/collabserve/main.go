@@ -7,9 +7,9 @@
 //
 //	collabserve -peers 2000 -addr :8080
 //	collabserve -peers 2000 -snapshot /var/lib/collabserve/state.snap
-//	collabserve -peers 500 -refresh 250ms -shards 16 -queue 512
+//	collabserve -peers 500 -refresh 250ms -shards 16 -watermark 8192
 //
-// On SIGINT/SIGTERM the server stops admitting writes, drains every
+// On SIGINT/SIGTERM the server stops admitting writes, folds every
 // acknowledged event into the store, and (when -snapshot is set) writes a
 // binary snapshot; restarting with the same -snapshot path warm-starts
 // bit-identical to a serial replay of everything the dead process had
@@ -39,7 +39,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		peers     = flag.Int("peers", 1000, "peer-id space size")
 		shards    = flag.Int("shards", 0, "ingest shard count (0 = default)")
-		queue     = flag.Int("queue", 0, "per-shard admission queue depth in batches (0 = default)")
 		maxBatch  = flag.Int("maxbatch", 0, "max events per ingest request (0 = default)")
 		refresh   = flag.Duration("refresh", 0, "EigenTrust refresh cadence (0 = default)")
 		floor     = flag.Float64("floor", 0, "allocation floor (0 = scheme default)")
@@ -58,7 +57,6 @@ func main() {
 	cfg := serve.Config{
 		Peers:        *peers,
 		Shards:       *shards,
-		QueueDepth:   *queue,
 		MaxBatch:     *maxBatch,
 		Refresh:      *refresh,
 		PreTrusted:   preTrusted,
@@ -109,8 +107,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Shutdown order matters: stop admission first (no handler can enqueue
-	// after Shutdown returns), then drain and fold the queues, then persist.
+	// Shutdown order matters: stop admission first (no handler can append
+	// after Shutdown returns), then fold the ingest shards and solve, then
+	// persist.
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {

@@ -35,7 +35,7 @@ func gossipStats(peers, cliqueSize, steps, rejoinEvery int, boost float64, fanou
 	honest := peers - cliqueSize
 
 	// Baseline graph and vector: the state the network has fully gossiped.
-	if err := driveWorkload(g, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
+	if err := driveWorkload(g, nil, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
 		return err
 	}
 	ws := reputation.NewEigenTrustWorkspace()
@@ -53,7 +53,7 @@ func gossipStats(peers, cliqueSize, steps, rejoinEvery int, boost float64, fanou
 	if burst == 0 {
 		burst = 1
 	}
-	if err := driveWorkload(g, honest, cliqueSize, burst, rejoinEvery, boost); err != nil {
+	if err := driveWorkload(g, nil, honest, cliqueSize, burst, rejoinEvery, boost); err != nil {
 		return err
 	}
 	tNew, err := ws.Compute(g, cfg)

@@ -31,7 +31,7 @@ func graphStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 		return err
 	}
 	honest := peers - cliqueSize
-	if err := driveWorkload(g, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
+	if err := driveWorkload(g, nil, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
 		return err
 	}
 
@@ -99,18 +99,17 @@ func graphStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 	fmt.Printf("\nafter forced compaction: nnz=%d  tail=%d  compactions=%d\n",
 		g.NNZ(), g.TailLen(), g.Compactions())
 
-	// Replay the identical workload through the concurrent store: automatic
-	// watermark publishes plus the explicit ClearPeer/flush points produce a
-	// stream of immutable epochs, and a reader pinned across each churn event
-	// forces the retirement protocol to actually wait. The final arrays must
-	// be bit-identical to the serial log above — the serial-reference
+	// Replay the identical workload through the concurrent store: a flush
+	// every 256 statements plus the ClearPeer points produce a stream of
+	// immutable epochs, and a reader pinned across each churn event forces
+	// the retirement protocol to actually wait. The final arrays must be
+	// bit-identical to the serial log above — the serial-reference
 	// guarantee, checked here on real output rather than in tests only.
 	cg, err := reputation.NewConcurrentGraph(peers, 0)
 	if err != nil {
 		return err
 	}
-	cg.SetPendingWatermark(256)
-	if err := driveWorkload(cg, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
+	if err := driveWorkload(cg, cg.Flush, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
 		return err
 	}
 	cg.Flush()
@@ -143,7 +142,7 @@ func graphStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 	if !edgesEqual(cg.AppendEdges(nil), edges) {
 		match = "DIVERGED"
 	}
-	fmt.Printf("\nconcurrent store (same workload, watermark 256):\n")
+	fmt.Printf("\nconcurrent store (same workload, flushed every 256 statements):\n")
 	fmt.Printf("  epoch=%d  swaps=%d  retire-waits=%d  ingest-drains=%d\n",
 		st.Epoch, st.Swaps, st.RetireWaits, st.Flushes)
 	fmt.Printf("  pending=%d  pinned-readers=%d\n", st.Pending, st.Readers)
@@ -210,23 +209,31 @@ func topKEqual(a, b []reputation.PeerTrust) bool {
 
 // driveWorkload replays the deterministic collusion-plus-churn schedule on
 // any trust store; both the serial log and the concurrent store run the very
-// same statement sequence.
-func driveWorkload(g reputation.Graph, honest, cliqueSize, steps, rejoinEvery int, boost float64) error {
+// same statement sequence. A non-nil flush runs after every 256 statements.
+func driveWorkload(g reputation.Graph, flush func(), honest, cliqueSize, steps, rejoinEvery int, boost float64) error {
+	stmts := 0
+	add := func(from, to int, w float64) error {
+		err := g.AddTrust(from, to, w)
+		if stmts++; flush != nil && stmts%256 == 0 {
+			flush()
+		}
+		return err
+	}
 	for s := 1; s <= steps; s++ {
 		from := s % honest
 		to := (from + 1 + s%(honest-1)) % honest
 		if to != from {
-			if err := g.AddTrust(from, to, 1); err != nil {
+			if err := add(from, to, 1); err != nil {
 				return err
 			}
 		}
 		if s%50 == 0 {
-			if err := g.AddTrust(s%honest, honest+(s/50)%cliqueSize, 0.2); err != nil {
+			if err := add(s%honest, honest+(s/50)%cliqueSize, 0.2); err != nil {
 				return err
 			}
 		}
 		for k := 0; k < cliqueSize; k++ {
-			if err := g.AddTrust(honest+k, honest+(k+1)%cliqueSize, boost); err != nil {
+			if err := add(honest+k, honest+(k+1)%cliqueSize, boost); err != nil {
 				return err
 			}
 		}

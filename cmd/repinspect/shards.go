@@ -30,7 +30,7 @@ func shardStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 		return err
 	}
 	honest := peers - cliqueSize
-	if err := driveWorkload(g, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
+	if err := driveWorkload(g, nil, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
 		return err
 	}
 	g.Compact()

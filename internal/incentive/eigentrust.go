@@ -217,7 +217,7 @@ func (g *GlobalTrust) recompute() error {
 		// Publish the refreshed vector as an immutable snapshot for
 		// lock-free observers, stamped with the exact epoch Exclusive
 		// published for this solve — not the current epoch, which a
-		// watermark-triggered publish may already have advanced past it.
+		// concurrent Flush may already have advanced past it.
 		g.cg.PublishTrustAt(seq, g.trust)
 	}
 	stats := g.ws.LastStats()

@@ -146,20 +146,21 @@ type ingestShard struct {
 //
 //   - Writers (any goroutine) enqueue validated statements onto the ingest
 //     shard owned by the statement's source peer: one short per-shard mutex
-//     section, O(1) amortized, never touching reader state.
+//     section, O(1) amortized, never touching reader state. A writer never
+//     publishes, so it never compacts, copies or waits on a pinned epoch.
 //   - Readers (any goroutine) pin the current epoch with Acquire — an
 //     atomic pointer load plus a reader-count increment, re-validated
 //     against the pointer so a racing swap cannot hand out a recycled
 //     buffer — read through it lock-free, and Release it. The read path
 //     takes no mutex and performs no allocation.
 //   - The publisher (whoever holds the maintenance lock: Flush, Compact,
-//     ClearPeer, Clear, LoadEdges, Exclusive) drains the shards in shard
-//     order into the writer-side LogGraph, compacts it, copies the
-//     compacted arrays into the spare buffer, and swaps the current-epoch
-//     pointer to it. Exactly two buffers exist; before reusing the spare,
-//     the publisher waits for the reader count pinned on it (stragglers
-//     from before the previous swap) to drain to zero. Readers never wait;
-//     only the publisher can.
+//     AppendEdges, ClearPeer, Clear, LoadEdges, Exclusive — nothing else
+//     publishes) drains the shards in shard order into the writer-side
+//     LogGraph, compacts it, copies the compacted arrays into the spare
+//     buffer, and swaps the current-epoch pointer to it. Exactly two
+//     buffers exist; before reusing the spare, the publisher waits for the
+//     reader count pinned on it (stragglers from before the previous swap)
+//     to drain to zero. Readers never wait; only the publisher can.
 //
 // # Determinism (serial-reference guarantee)
 //
@@ -175,17 +176,18 @@ type ingestShard struct {
 // # Visibility
 //
 // Lock-free reads see the last-published epoch: statements enqueued since
-// then become visible at the next publish (Flush or the automatic pending
-// watermark). The exact, fully merged view is available through the
-// maintenance plane (Exclusive, AppendEdges), which flushes first.
+// then become visible at the next publish, which the owner schedules (a
+// server flushes when Stats().Pending reaches its watermark, a simulation
+// at its refresh cadence). The exact, fully merged view is available
+// through the maintenance plane (Exclusive, AppendEdges), which flushes
+// first.
 // ConcurrentGraph implements Graph with lock-free point reads on the
 // serving plane and flushing mutators, so the solvers and snapshot codecs
 // run against it unchanged.
 type ConcurrentGraph struct {
-	n         int
-	shards    []ingestShard
-	pending   atomic.Int64 // enqueued, not yet drained statements
-	watermark int64        // pending level that triggers an automatic publish
+	n       int
+	shards  []ingestShard
+	pending atomic.Int64 // enqueued, not yet drained statements
 
 	mu       sync.Mutex // maintenance lock: log, spare buffer, publishing
 	log      *LogGraph  // writer-side store; guarded by mu
@@ -230,12 +232,11 @@ func NewConcurrentGraph(n, shards int) (*ConcurrentGraph, error) {
 		shards = n
 	}
 	cg := &ConcurrentGraph{
-		n:         n,
-		shards:    make([]ingestShard, shards),
-		watermark: defaultLogWatermark,
-		log:       log,
-		drainBuf:  make([][]logOp, shards),
-		spare:     newGraphEpoch(n),
+		n:        n,
+		shards:   make([]ingestShard, shards),
+		log:      log,
+		drainBuf: make([][]logOp, shards),
+		spare:    newGraphEpoch(n),
 	}
 	cg.cur.Store(newGraphEpoch(n))
 	return cg, nil
@@ -243,18 +244,6 @@ func NewConcurrentGraph(n, shards int) (*ConcurrentGraph, error) {
 
 // Len returns the number of peers.
 func (cg *ConcurrentGraph) Len() int { return cg.n }
-
-// SetPendingWatermark sets the enqueued-statement count that triggers an
-// automatic drain-and-publish on the write path (k <= 0 restores the
-// default). The publish is attempted opportunistically: if maintenance is
-// already running, the writer skips it and the running flush picks the
-// statements up.
-func (cg *ConcurrentGraph) SetPendingWatermark(k int) {
-	if k <= 0 {
-		k = defaultLogWatermark
-	}
-	atomic.StoreInt64(&cg.watermark, int64(k))
-}
 
 func (cg *ConcurrentGraph) checkRange(from, to int) error {
 	if from < 0 || from >= cg.n || to < 0 || to >= cg.n {
@@ -293,22 +282,14 @@ func (cg *ConcurrentGraph) SetTrust(from, to int, w float64) error {
 	return nil
 }
 
-// enqueue appends one pre-validated statement to its source's shard and
-// opportunistically publishes when the pending count crosses the watermark.
+// enqueue appends one pre-validated statement to its source's shard. It
+// never publishes: the statement is folded in by the next maintenance call.
 func (cg *ConcurrentGraph) enqueue(op logOp) {
 	sh := &cg.shards[int(op.from)%len(cg.shards)]
 	sh.mu.Lock()
 	sh.ops = append(sh.ops, op)
 	sh.mu.Unlock()
-	if cg.pending.Add(1) >= atomic.LoadInt64(&cg.watermark) {
-		if cg.mu.TryLock() {
-			cg.drainLocked()
-			if cg.dirty {
-				cg.publishLocked()
-			}
-			cg.mu.Unlock()
-		}
-	}
+	cg.pending.Add(1)
 }
 
 // acquirePinHook, when non-nil, runs between the reader-count increment and
@@ -450,9 +431,8 @@ func (cg *ConcurrentGraph) ClearPeer(i int) error {
 // readers keep serving the previous epoch, and the refreshed state becomes
 // visible atomically afterwards. A result computed inside fn should be
 // republished via PublishTrustAt with the returned sequence, so the stamp
-// names the epoch the result was computed from even if a watermark-triggered
-// publish lands in between. fn must not retain the *LogGraph beyond the
-// call.
+// names the epoch the result was computed from even if a concurrent Flush
+// publishes in between. fn must not retain the *LogGraph beyond the call.
 func (cg *ConcurrentGraph) Exclusive(fn func(*LogGraph)) uint64 {
 	cg.mu.Lock()
 	cg.drainLocked()
@@ -479,9 +459,9 @@ func (cg *ConcurrentGraph) PublishTrustAt(seq uint64, vec []float64) {
 
 // PublishTrust is PublishTrustAt stamped with the epoch published at call
 // time. Prefer PublishTrustAt with the sequence Exclusive returned when the
-// vector came out of a solve: a concurrent watermark-triggered publish can
-// advance the current epoch between the solve and this call, and the
-// call-time stamp would then name an epoch newer than the vector.
+// vector came out of a solve: a concurrent Flush can advance the current
+// epoch between the solve and this call, and the call-time stamp would then
+// name an epoch newer than the vector.
 func (cg *ConcurrentGraph) PublishTrust(vec []float64) {
 	cg.PublishTrustAt(cg.cur.Load().seq, vec)
 }

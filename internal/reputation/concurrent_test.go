@@ -45,8 +45,7 @@ func TestConcurrentGraphSerialEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Huge watermarks so compaction points are driven explicitly.
-		cg.SetPendingWatermark(1 << 20)
+		// A huge log watermark so compaction points are driven explicitly.
 		ref.SetWatermark(1 << 20)
 		for step := 0; step < 3000; step++ {
 			from, to := rng.Intn(n), rng.Intn(n)
@@ -110,7 +109,6 @@ func TestConcurrentGraphParallelWritersBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cg.SetPendingWatermark(256) // exercise opportunistic mid-run publishes
 
 		// Pre-generate each writer's deterministic op sequence (sources
 		// disjoint per writer) so the concurrent run and the serial replay
@@ -160,7 +158,8 @@ func TestConcurrentGraphParallelWritersBitIdentical(t *testing.T) {
 				}
 			}()
 		}
-		// A concurrent flusher forcing extra epoch swaps.
+		// A concurrent flusher racing the writers, so the run crosses
+		// publish boundaries mid-stream.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -284,10 +283,22 @@ func TestConcurrentGraphStressMixedSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg.SetPendingWatermark(64)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // flusher: publishes racing the writers
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				cg.Flush()
+				runtime.Gosched()
+			}
+		}
+	}()
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -391,7 +402,6 @@ func TestConcurrentGraphEpochLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg.SetPendingWatermark(1 << 20)
 	rng := xrand.New(11)
 	buffers := map[*GraphEpoch]bool{}
 	for i := 0; i < 10000; i++ {

@@ -79,12 +79,11 @@
 //     allocation, no waiting — a reader never blocks other readers, and a
 //     held epoch never delays enqueues or the next publish. Holding one
 //     indefinitely is still not free: the second publish after the pin
-//     must retire the pinned buffer and parks until the reader releases —
-//     and that publisher may be a writer goroutine whose enqueue crossed
-//     the pending watermark, so a long-pinned epoch can stall one writer
-//     for as long as the pin is held.
-//   - The publisher swaps: whoever runs maintenance (Flush, ClearPeer,
-//     Exclusive, the automatic pending watermark) drains the sharded
+//     must retire the pinned buffer and parks until the reader releases.
+//     Writers never publish, so a long-pinned epoch can stall a maintenance
+//     call but never an enqueue.
+//   - The publisher swaps: whoever runs maintenance (Flush, AppendEdges,
+//     ClearPeer, Clear, LoadEdges, Exclusive) drains the sharded
 //     ingest queues into the log in shard order, compacts, copies the CSR
 //     arrays into the spare buffer, and atomically swaps it in as the new
 //     current epoch.

@@ -345,7 +345,6 @@ func TestCompactScheduleInvariantFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg.SetPendingWatermark(64)
 	rng := xrand.New(99)
 	for k := 1; k <= ops; k++ {
 		from := rng.Intn(n)
@@ -357,6 +356,9 @@ func TestCompactScheduleInvariantFloat(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		if k%64 == 0 {
+			cg.Flush()
 		}
 	}
 	cg.Flush()

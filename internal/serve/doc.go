@@ -10,20 +10,22 @@
 // coupling, each leaning on a specific guarantee of the concurrent trust
 // store (reputation.ConcurrentGraph):
 //
-//   - The write plane (POST /v1/events → writer) admits batches of
-//     validated events into bounded per-shard queues and acknowledges with
-//     202 before any store work happens; dedicated drainer goroutines apply
-//     the events through the store's sharded ingest enqueue (AddTrust /
-//     SetTrust — O(1) per-shard mutex sections). Events shard by their
-//     *source peer* (the statement's author) at both layers, so each
-//     source's statement order is preserved end to end — the precondition
-//     of the store's serial-reference guarantee: any concurrent schedule
-//     that preserves per-source order compacts bit-identical to a serial
-//     LogGraph replay. Admission is all or nothing per request: when the
-//     queue of any shard the request touches is full, the whole request is
-//     refused with 429 and none of it is applied (so a retry of the
-//     identical batch never duplicates or reorders a statement), which is
-//     the admission-control/backpressure boundary.
+//   - The write plane (POST /v1/events) validates a whole batch, then,
+//     under one admission lock, appends every event in request order to
+//     the store's ingest shards (AddTrust / SetTrust — an O(1) per-shard
+//     mutex section each, keyed by the statement's *source peer*) and
+//     acknowledges with 202. The shards keep each source's statements in
+//     order, and the lock keeps two requests from interleaving across
+//     shards, so the served edges equal a serial replay of exactly the
+//     acknowledged requests in acknowledgement order — the store's
+//     serial-reference guarantee, end to end. Admission is all or nothing
+//     per request: when the statements not yet folded into the store plus
+//     the request would exceed 256·MaxBatch, the whole request is refused
+//     with 429 and none of it is applied (so a retry of the identical batch
+//     never duplicates or reorders a statement), which is the
+//     admission-control/backpressure boundary. Ingest never publishes:
+//     once pending statements reach Config.Watermark it wakes the solve
+//     plane, which flushes.
 //
 //     The decode contract: the body is read once, and the canonical wire
 //     form — {"events":[{…},…]} with the five lower-case keys in any order,
@@ -52,22 +54,24 @@
 //     lock (Exclusive) against the exact merged log and republishes the
 //     vector as an immutable snapshot stamped with the epoch it was
 //     computed from. Readers holding older snapshots are unaffected;
-//     writers keep enqueueing throughout (their statements fold into the
-//     next publish). All solver state lives on this one goroutine, so the
-//     scheme's single-threaded contract is never violated.
+//     writers keep appending throughout (their statements fold into the
+//     next publish). The same goroutine runs the watermark flushes ingest
+//     asks for, so no ingest request ever compacts, copies or waits on a
+//     pinned epoch. All solver state lives on this one goroutine, so the scheme's
+//     single-threaded contract is never violated.
 //
 // # Quiescence and warm restart
 //
-// The maintenance surface (POST /v1/flush, server shutdown) uses writer
-// barriers: a sentinel batch per shard whose completion proves every
-// earlier event has reached the store, followed by a store Flush that
-// publishes the folded state. Stop drains the writer and then lets the
-// solve plane refresh once more if the drain left it stale, so the vector
-// in memory is the one that belongs to the drained edges. Shutdown then
-// snapshots the scheme state (canonical compacted edge list + trust
-// vector) through the binary codec in snapshot.go; a restart checks the
-// file's length against its header before sizing anything from it, loads
-// it, republishes graph epoch and trust snapshot, and resumes
-// bit-identical to a serial replay of everything the dead process had
-// acknowledged and drained.
+// There is no queue in front of the store: a 202 means the events are
+// already in its ingest shards. POST /v1/flush is therefore a plain store
+// Flush — it folds every acknowledged event into the log and publishes —
+// and /v1/edges flushes the same way before it dumps. Stop lets the solve
+// plane refresh once more if acknowledged events left it stale (the solve
+// folds them in), so the vector in memory is the one that belongs to the
+// edges, and publishes the folded state. Shutdown then snapshots the
+// scheme state (canonical compacted edge list + trust vector) through the
+// binary codec in snapshot.go; a restart checks the file's length against
+// its header before sizing anything from it, loads it, republishes graph
+// epoch and trust snapshot, and resumes bit-identical to a serial replay of
+// everything the dead process had acknowledged.
 package serve

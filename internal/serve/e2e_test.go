@@ -58,7 +58,7 @@ func TestE2EReplayEquivalence(t *testing.T) {
 		batches = 60
 		batchSz = 8
 	)
-	s, err := New(Config{Peers: peers, Shards: 4, QueueDepth: 64, Watermark: 50})
+	s, err := New(Config{Peers: peers, Shards: 4, Watermark: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestE2EReplayEquivalence(t *testing.T) {
 				}
 				resp.Body.Close()
 				if i%25 == 0 {
-					// Forced solves, and writer barriers racing admission.
+					// Forced solves, and flushes racing admission.
 					path := "/v1/refresh"
 					if i%50 == 0 {
 						path = "/v1/flush"
@@ -227,6 +227,77 @@ func TestE2EReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestConcurrentRequestsReplaySerially pins per-request atomicity, which
+// per-source order alone does not give: in every round four goroutines
+// each send one request that sets the same eight edges (sources 0–7, one
+// per ingest shard, all into peer 9) to a weight unique to the request,
+// each listing the sources in a different rotation. A serial replay of the
+// acknowledged requests leaves all eight edges at one request's weight,
+// so after a flush /v1/edges must show exactly that.
+func TestConcurrentRequestsReplaySerially(t *testing.T) {
+	const (
+		writers = 4
+		rounds  = 100
+	)
+	s, err := New(Config{Peers: 10, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Stop()
+	h := s.Handler()
+	bodies := make([][]string, rounds)
+	for r := range bodies {
+		bodies[r] = make([]string, writers)
+		for w := range bodies[r] {
+			ev := make([]Event, 8)
+			for k := range ev {
+				ev[k] = Event{Type: EventTrust, From: (w + k) % 8, To: 9, W: float64(r*writers + w + 1), Set: true}
+			}
+			body, err := json.Marshal(ingestRequest{Events: ev})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[r][w] = string(body)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		accepted := map[float64]bool{}
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				if rec := call(h, "POST", "/v1/events", bodies[r][w]); rec.Code == http.StatusAccepted {
+					mu.Lock()
+					accepted[float64(r*writers+w+1)] = true
+					mu.Unlock()
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		if rec := call(h, "POST", "/v1/flush", ""); rec.Code != http.StatusOK {
+			t.Fatalf("round %d: flush status %d", r, rec.Code)
+		}
+		var dump edgesResponse
+		if err := json.Unmarshal(call(h, "GET", "/v1/edges", "").Body.Bytes(), &dump); err != nil {
+			t.Fatal(err)
+		}
+		if len(dump.Edges) != 8 {
+			t.Fatalf("round %d: %d edges, want 8", r, len(dump.Edges))
+		}
+		for _, e := range dump.Edges {
+			if e.W != dump.Edges[0].W || !accepted[e.W] {
+				t.Fatalf("round %d: edges %+v are not one accepted request's weight (accepted %v)", r, dump.Edges, accepted)
+			}
+		}
+	}
+}
+
 // TestWarmRestartBitIdentity kills a loaded server and restarts it from
 // its snapshot: the restored edge dump must equal the serial replay, the
 // restored vector must equal the dead process's final publish bit-for-bit,
@@ -258,7 +329,7 @@ func TestWarmRestartBitIdentity(t *testing.T) {
 		if admitted, err := postBatch(client, tsA.URL, ev); err != nil {
 			t.Fatal(err)
 		} else if !admitted {
-			t.Fatal("batch refused at default queue depth")
+			t.Fatal("batch refused under the default pending bound")
 		}
 		log = append(log, ev...)
 	}
@@ -268,7 +339,7 @@ func TestWarmRestartBitIdentity(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// SIGTERM path: stop admission, drain, persist.
+	// SIGTERM path: stop admission, fold and solve, persist.
 	tsA.Close()
 	a.Stop()
 	if err := a.SaveSnapshot(); err != nil {
@@ -389,9 +460,63 @@ func TestSnapshotCodecErrors(t *testing.T) {
 	}
 }
 
+// headerOnlySnapshot is a 31-byte snapshot file: magic, version, peers 8,
+// edges 2³², and no body.
+func headerOnlySnapshot() []byte {
+	b := []byte(snapshotMagic)
+	for _, w := range []uint64{snapshotVersion, 8, 1 << 32} {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// readSnapshotAllocPerByte is the constant c of FuzzReadSnapshot: reading a
+// file may allocate at most c·len(file) + 1 MiB. A file that decodes costs
+// its own size (24 bytes an edge and 16 a peer, on disk and in memory) plus
+// the 64 KiB read block: measured, len(file) + 73 to 78 KiB from 63 bytes to
+// 24 MB, so c = 1 would hold and 2 leaves room for size-class rounding. Any
+// other file is refused before anything is sized from it.
+const readSnapshotAllocPerByte = 2
+
+// FuzzReadSnapshot writes arbitrary bytes to a file and decodes it as a
+// snapshot: readSnapshotFile returns an error or a state, never panics, and
+// allocates at most readSnapshotAllocPerByte bytes per file byte plus 1 MiB.
+func FuzzReadSnapshot(f *testing.F) {
+	dir := f.TempDir()
+	path := filepath.Join(dir, "fuzz.snap")
+	if err := writeSnapshotFile(path, &incentive.GlobalTrustState{
+		Edges:        []reputation.Edge{{From: 0, To: 1, W: 2.5}, {From: 2, To: 0, W: 1}},
+		Trust:        []float64{0.5, 0.3, 0.2},
+		Score:        []float64{0.6, 0.47, 0.375},
+		Dirty:        true,
+		SinceRefresh: 3,
+	}); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(headerOnlySnapshot())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = readSnapshotFile(path)
+		runtime.ReadMemStats(&after)
+		grew := after.TotalAlloc - before.TotalAlloc
+		if limit := readSnapshotAllocPerByte*uint64(len(data)) + 1<<20; grew > limit {
+			t.Fatalf("reading a %d-byte file allocated %d, limit %d", len(data), grew, limit)
+		}
+	})
+}
+
 // TestSnapshotRefusedNotAllocated feeds the restart path two files whose
-// header promises more than the file holds — ROADMAP's 31-byte file (magic,
-// version, peers 8, edges 2³²) and a 2 MB snapshot cut short by one byte —
+// header promises more than the file holds — the 31-byte header-only file
+// and a 2 MB snapshot cut short by one byte —
 // and requires construction to fail having allocated next to nothing: the
 // lengths are checked against the file before anything is sized from them.
 func TestSnapshotRefusedNotAllocated(t *testing.T) {
@@ -419,11 +544,7 @@ func TestSnapshotRefusedNotAllocated(t *testing.T) {
 	if len(data) < 2<<20 {
 		t.Fatalf("snapshot of %d bytes is too small to show up in the heap", len(data))
 	}
-	tiny := []byte(snapshotMagic)
-	for _, w := range []uint64{snapshotVersion, 8, 1 << 32} {
-		tiny = binary.LittleEndian.AppendUint64(tiny, w)
-	}
-	for name, file := range map[string][]byte{"31 bytes": tiny, "one byte short": data[:len(data)-1]} {
+	for name, file := range map[string][]byte{"31 bytes": headerOnlySnapshot(), "one byte short": data[:len(data)-1]} {
 		path := filepath.Join(dir, "bad.snap")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)

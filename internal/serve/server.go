@@ -20,12 +20,17 @@ import (
 
 // Defaults applied by Config.withDefaults.
 const (
-	DefaultShards     = 8
-	DefaultQueueDepth = 256
-	DefaultMaxBatch   = 4096
-	DefaultRefresh    = 500 * time.Millisecond
+	DefaultShards   = 8
+	DefaultMaxBatch = 4096
+	DefaultRefresh  = 500 * time.Millisecond
 
-	maxBodyBytes = 8 << 20
+	defaultWatermark = 4096
+	maxBodyBytes     = 8 << 20
+
+	// pendingBatches bounds the statements waiting in the store's ingest
+	// shards at pendingBatches·MaxBatch: room for that many full requests.
+	// A request that would cross it is refused whole with 429.
+	pendingBatches = 256
 )
 
 // Config parameterizes a Server. The zero value of every field except
@@ -33,15 +38,12 @@ const (
 type Config struct {
 	// Peers is the (fixed) peer-id space the store ranges over. Required.
 	Peers int
-	// Shards is the queue/ingest shard count for both the serve-level
-	// writer and the concurrent store (0 = DefaultShards).
+	// Shards is the concurrent store's ingest shard count, keyed by source
+	// peer (0 = DefaultShards).
 	Shards int
-	// QueueDepth is the per-shard admission queue depth in batches; a
-	// request that touches a full shard is refused whole with 429
-	// (0 = DefaultQueueDepth).
-	QueueDepth int
 	// MaxBatch caps the events accepted in one ingest request
-	// (0 = DefaultMaxBatch).
+	// (0 = DefaultMaxBatch). Admission refuses a request with 429 when the
+	// statements not yet folded into the store would exceed 256·MaxBatch.
 	MaxBatch int
 	// Refresh is the wall-clock EigenTrust solve cadence
 	// (0 = DefaultRefresh). Idle ticks skip the solve.
@@ -50,8 +52,8 @@ type Config struct {
 	PreTrusted []int
 	// Floor is the uniform allocation floor (0 = the incentive default).
 	Floor float64
-	// Watermark overrides the store's automatic publish threshold in
-	// pending statements (0 = store default).
+	// Watermark is the pending-statement level at which ingest asks the
+	// solve-plane goroutine to flush and publish the store (0 = 4096).
 	Watermark int
 	// SnapshotPath, when set, is loaded at construction (if the file
 	// exists) and written by SaveSnapshot — the warm-restart surface.
@@ -68,31 +70,37 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = DefaultShards
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = DefaultQueueDepth
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
 	}
 	if c.Refresh <= 0 {
 		c.Refresh = DefaultRefresh
 	}
+	if c.Watermark <= 0 {
+		c.Watermark = defaultWatermark
+	}
 	return c
 }
 
 // Server is the trust/reputation service: the three planes of the package
-// doc behind one http.Handler. Construct with New, launch the write and
-// solve planes with Start, and quiesce with Stop (then SaveSnapshot).
+// doc behind one http.Handler. Construct with New, launch the solve plane
+// with Start, and quiesce with Stop (then SaveSnapshot).
 type Server struct {
 	cfg Config
 
 	gt     *incentive.GlobalTrust
 	cg     *reputation.ConcurrentGraph
 	reader reputation.TrustReader
-	wr     *writer
 	mux    *http.ServeMux
 
 	scratch sync.Pool // *ingestScratch
+
+	// admitMu makes each ingest request's bound check and appends one step,
+	// so concurrent requests land in every ingest shard in the same order.
+	admitMu sync.Mutex
+	// kick asks the solve plane to publish once pending statements reach
+	// the watermark (1-buffered; ingest never blocks on it).
+	kick chan struct{}
 
 	refreshReq chan chan error
 	quit       chan struct{}
@@ -100,7 +108,7 @@ type Server struct {
 	started    atomic.Bool
 
 	start     time.Time
-	accepted  atomic.Uint64 // events admitted to the write queues
+	accepted  atomic.Uint64 // events appended to the store
 	rejected  atomic.Uint64 // events refused with 429
 	reads     atomic.Uint64 // read-plane requests served
 	refreshes atomic.Uint64 // solves that actually ran
@@ -119,8 +127,8 @@ type solveRecord struct {
 }
 
 // New builds a server (loading SnapshotPath when it exists) without
-// starting the write or solve planes: handlers already serve reads and
-// admit writes, which queue until Start.
+// starting the solve plane: handlers already serve reads and admit writes,
+// which wait in the store's ingest shards until a flush or the first solve.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	scheme, err := incentive.NewScheme(cfg.Peers, incentive.Options{
@@ -135,23 +143,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	gt := scheme.(*incentive.GlobalTrust)
 	cg := gt.ConcurrentStore()
-	if cfg.Watermark > 0 {
-		cg.SetPendingWatermark(cfg.Watermark)
-	}
 	s := &Server{
 		cfg:        cfg,
 		gt:         gt,
 		cg:         cg,
 		reader:     cg,
-		wr:         newWriter(cg, cfg.Shards, cfg.QueueDepth),
+		kick:       make(chan struct{}, 1),
 		refreshReq: make(chan chan error),
 		quit:       make(chan struct{}),
 		stopped:    make(chan struct{}),
 		start:      time.Now(),
 	}
-	s.scratch.New = func() any {
-		return &ingestScratch{counts: make([]int, cfg.Shards), groups: make([][]Event, cfg.Shards)}
-	}
+	s.scratch.New = func() any { return new(ingestScratch) }
 	if cfg.SnapshotPath != "" {
 		if err := s.loadSnapshot(cfg.SnapshotPath); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("serve: loading snapshot %s: %w", cfg.SnapshotPath, err)
@@ -167,36 +170,34 @@ func (s *Server) Store() *reputation.ConcurrentGraph { return s.cg }
 // Handler returns the server's HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Start launches the writer drainers and the refresh loop. Idempotent
-// after the first call.
+// Start launches the refresh loop. Idempotent after the first call.
 func (s *Server) Start() {
 	if !s.started.CompareAndSwap(false, true) {
 		return
 	}
-	s.wr.start()
 	go s.refreshLoop()
 }
 
-// Stop quiesces a started server: drains every admitted event into the
-// store, solves once more if that left the vector stale, stops the solve
-// plane, and publishes the folded state. Admission
-// must have ceased (shut the HTTP listener down first). After Stop the
-// server serves reads only.
+// Stop quiesces a started server: solves once more if acknowledged events
+// left the vector stale (the solve folds them into the store), stops the
+// solve plane, and publishes the folded state. Admission should have
+// ceased (shut the HTTP listener down first); an event admitted later
+// waits in the ingest shards for the next flush. After Stop the server
+// serves reads.
 func (s *Server) Stop() {
 	if !s.started.CompareAndSwap(true, false) {
 		return
 	}
-	s.wr.stop()
 	close(s.quit)
 	<-s.stopped
 	s.cg.Flush()
 }
 
 // refreshLoop is the solve plane: one goroutine owning all GlobalTrust
-// state, alternating cadence ticks (skipped while idle) with forced
-// refreshes requested over refreshReq. Stop closes quit only after the
-// writer has drained, so the last refresh on the way out leaves the vector
-// that matches the edges a snapshot will save beside it.
+// state and every watermark publish, alternating cadence ticks (skipped
+// while idle) with forced refreshes requested over refreshReq and the
+// flushes ingest kicks. On quit it refreshes once more, so the vector left
+// behind matches the edges a snapshot will save beside it.
 func (s *Server) refreshLoop() {
 	defer close(s.stopped)
 	t := time.NewTicker(s.cfg.Refresh)
@@ -206,6 +207,8 @@ func (s *Server) refreshLoop() {
 		case <-s.quit:
 			s.refreshIfStale()
 			return
+		case <-s.kick:
+			s.cg.Flush()
 		case <-t.C:
 			s.refreshIfStale()
 		case reply := <-s.refreshReq:
@@ -276,8 +279,9 @@ type ingestRequest struct {
 }
 
 // ingestResponse reports per-request admission, which is all or nothing:
-// either every event is Accepted and queued for application in order, or
-// one of the request's shards was full and every event is Rejected.
+// either every event is Accepted and already in the store's ingest shards,
+// in request order, or the pending bound was reached and every event is
+// Rejected.
 type ingestResponse struct {
 	Accepted int `json:"accepted"`
 	Rejected int `json:"rejected,omitempty"`
@@ -289,14 +293,11 @@ type ingestResponse struct {
 const maxPooledBody = 1 << 20
 
 // ingestScratch is the per-request working memory of handleIngest, pooled
-// (Server.scratch) because none of it outlives the handler: the raw body,
-// the scanner's event slice (at most MaxBatch long), and the per-shard
-// group sizes and headers (Shards long).
+// (Server.scratch) because none of it outlives the handler: the raw body
+// and the scanner's event slice (at most MaxBatch long).
 type ingestScratch struct {
 	body   bytes.Buffer
 	events []Event
-	counts []int
-	groups [][]Event
 }
 
 // errReader returns err from every Read: the tail that replays a body read
@@ -305,8 +306,8 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-// handleIngest admits a batch of events: decode, validate all, group by
-// ingest shard (preserving order), then admit all the groups or none.
+// handleIngest admits a batch of events: decode, validate all, then either
+// append every event to the store in request order or refuse them all.
 //
 // The body is read once. A canonical body (see scanEvents) is decoded by
 // the scanner; any other, or one whose read failed, goes through
@@ -360,31 +361,33 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Group by shard in arrival order: one source's events always form a
-	// single in-order group. The groups outlive the handler (the drainers
-	// own them), so they are carved out of one fresh array: count, carve,
-	// fill.
-	clear(sc.counts)
-	for _, e := range events {
-		sc.counts[s.wr.shardFor(e.From)]++
-	}
-	backing := make([]Event, len(events))
-	for sh, n := range sc.counts {
-		sc.groups[sh], backing = backing[:0:n], backing[n:]
-	}
-	for _, e := range events {
-		sh := s.wr.shardFor(e.From)
-		sc.groups[sh] = append(sc.groups[sh], e)
-	}
-	admitted := s.wr.admit(sc.groups)
-	clear(sc.groups) // the drainers own the arrays now; keep no reference in the pool
-	if !admitted {
-		s.rejected.Add(uint64(len(events)))
+	n := int64(len(events))
+	s.admitMu.Lock()
+	pending := s.cg.Stats().Pending
+	if pending+n > pendingBatches*int64(s.cfg.MaxBatch) {
+		s.admitMu.Unlock()
+		s.rejected.Add(uint64(n))
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, ingestResponse{Rejected: len(events)})
 		return
 	}
-	s.accepted.Add(uint64(len(events)))
+	// Validated events cannot fail in the store; its own checks stay as
+	// the backstop.
+	for _, e := range events {
+		if e.Type == EventTrust && e.Set {
+			_ = s.cg.SetTrust(e.From, e.To, e.W)
+		} else {
+			_ = s.cg.AddTrust(e.From, e.To, e.W)
+		}
+	}
+	s.admitMu.Unlock()
+	if pending+n >= int64(s.cfg.Watermark) {
+		select {
+		case s.kick <- struct{}{}:
+		default:
+		}
+	}
+	s.accepted.Add(uint64(n))
 	writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(events)})
 }
 
@@ -579,8 +582,6 @@ type statsResponse struct {
 
 	Accepted    uint64 `json:"accepted"`
 	Rejected    uint64 `json:"rejected"`
-	Applied     uint64 `json:"applied"`
-	QueuedBatch int    `json:"queued_batches"`
 	Reads       uint64 `json:"reads"`
 	Refreshes   uint64 `json:"refreshes"`
 	SolveErrors uint64 `json:"solve_errors"`
@@ -616,8 +617,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Started:       s.started.Load(),
 		Accepted:      s.accepted.Load(),
 		Rejected:      s.rejected.Load(),
-		Applied:       s.wr.applied.Load(),
-		QueuedBatch:   s.wr.queued(),
 		Reads:         s.reads.Load(),
 		Refreshes:     s.refreshes.Load(),
 		SolveErrors:   s.solveErrs.Load(),
@@ -650,14 +649,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "started": s.started.Load()})
 }
 
-// handleFlush quiesces the write plane (writer barrier, then a store
-// flush) so the next /v1/edges read is exact — the verification hook.
+// handleFlush folds every acknowledged event into the store and publishes
+// the result, so lock-free reads see it — the verification hook.
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if !s.started.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "writer not running")
-		return
-	}
-	s.wr.barrier()
 	s.cg.Flush()
 	st := s.cg.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{"epoch": st.Epoch, "pending": st.Pending})

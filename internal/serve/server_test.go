@@ -9,8 +9,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"collabnet/internal/incentive"
+	"collabnet/internal/reputation"
 )
 
 // newTestServer builds a small started server plus its HTTP front end and
@@ -247,41 +249,32 @@ func TestIngestBoundsWeight(t *testing.T) {
 	}
 }
 
-// TestBackpressure429 fills a one-deep admission queue on an unstarted
-// server (no drainers) and requires whole-group 429 refusals, then starts
-// the planes and checks only the admitted group was ever applied.
+// TestBackpressure429 fills the pending bound on an unstarted server (no
+// solve plane, so nothing folds the ingest shards) and requires a
+// whole-request 429, then starts the server and checks that only the
+// admitted requests were ever applied.
 func TestBackpressure429(t *testing.T) {
-	cfg := Config{Peers: 8, Shards: 1, QueueDepth: 1}
-	s, err := New(cfg)
+	s, err := New(Config{Peers: 8, Shards: 1, MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp := postJSON(t, ts.URL+"/v1/events", `{"events":[{"type":"trust","from":0,"to":1,"w":5}]}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first batch status %d, want 202", resp.StatusCode)
+	for i := 0; i < pendingBatches; i++ {
+		if rec := call(s.Handler(), "POST", "/v1/events", `{"events":[{"type":"trust","from":0,"to":1,"w":1}]}`); rec.Code != http.StatusAccepted {
+			t.Fatalf("request %d: status %d, want 202", i, rec.Code)
+		}
 	}
-	resp.Body.Close()
-
-	resp = postJSON(t, ts.URL+"/v1/events",
-		`{"events":[{"type":"trust","from":1,"to":2,"w":7},{"type":"trust","from":2,"to":3,"w":9}]}`)
+	resp := postJSON(t, ts.URL+"/v1/events", `{"events":[{"type":"trust","from":1,"to":2,"w":7}]}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overflow batch status %d, want 429", resp.StatusCode)
+		t.Fatalf("request over the pending bound: status %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 must carry Retry-After")
 	}
-	if r := decodeBody[ingestResponse](t, resp); r.Rejected != 2 || r.Accepted != 0 {
-		t.Fatalf("whole group must be refused together: %+v", r)
-	}
-
-	// Flush before Start must refuse rather than deadlock.
-	resp = postJSON(t, ts.URL+"/v1/flush", "")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("flush on stopped writer: status %d, want 503", resp.StatusCode)
+	if r := decodeBody[ingestResponse](t, resp); r.Rejected != 1 || r.Accepted != 0 {
+		t.Fatalf("refusal response %+v", r)
 	}
 
 	s.Start()
@@ -296,32 +289,41 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatal(err)
 	}
 	dump := decodeBody[edgesResponse](t, resp)
-	if len(dump.Edges) != 1 || dump.Edges[0] != (edgeJSON{From: 0, To: 1, W: 5}) {
-		t.Fatalf("store must hold exactly the admitted group: %+v", dump.Edges)
+	if len(dump.Edges) != 1 || dump.Edges[0] != (edgeJSON{From: 0, To: 1, W: pendingBatches}) {
+		t.Fatalf("store must hold exactly the admitted requests: %+v", dump.Edges)
 	}
-	if s.rejected.Load() != 2 || s.accepted.Load() != 1 {
+	if s.rejected.Load() != 1 || s.accepted.Load() != pendingBatches {
 		t.Fatalf("counters accepted=%d rejected=%d", s.accepted.Load(), s.rejected.Load())
 	}
 }
 
 // TestAdmissionIsAtomic pins "nothing is applied" for a request whose
-// sources span shards: with shard 0's one-deep queue full and shard 1's
-// empty, a batch for both is refused whole, and once the planes run no
-// event of it ever reaches the store.
+// sources span shards: one statement short of the pending bound, a
+// two-event batch over two shards is refused whole, and once the server
+// runs no event of it ever reaches the store.
 func TestAdmissionIsAtomic(t *testing.T) {
-	s, err := New(Config{Peers: 8, Shards: 2, QueueDepth: 1})
+	s, err := New(Config{Peers: 8, Shards: 2, MaxBatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	rec := call(h, "POST", "/v1/events", `{"events":[{"type":"trust","from":0,"to":1,"w":5}]}`)
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("first batch status %d, want 202", rec.Code)
+	const pending = 2*pendingBatches - 1
+	for i := 0; i < pending; i += 2 {
+		body := `{"events":[{"type":"trust","from":0,"to":1,"w":1},{"type":"trust","from":0,"to":1,"w":1}]}`
+		if i+1 == pending {
+			body = `{"events":[{"type":"trust","from":0,"to":1,"w":1}]}`
+		}
+		if rec := call(h, "POST", "/v1/events", body); rec.Code != http.StatusAccepted {
+			t.Fatalf("filling request at %d pending: status %d, want 202", i, rec.Code)
+		}
 	}
-	rec = call(h, "POST", "/v1/events",
+	if got := s.Store().Stats().Pending; got != pending {
+		t.Fatalf("pending %d, want %d", got, pending)
+	}
+	rec := call(h, "POST", "/v1/events",
 		`{"events":[{"type":"trust","from":1,"to":2,"w":7},{"type":"trust","from":2,"to":3,"w":9}]}`)
 	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("batch over a full and an empty shard: status %d, want 429", rec.Code)
+		t.Fatalf("batch over two shards past the bound: status %d, want 429", rec.Code)
 	}
 	var resp ingestResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Accepted != 0 || resp.Rejected != 2 {
@@ -337,39 +339,56 @@ func TestAdmissionIsAtomic(t *testing.T) {
 	if err := json.Unmarshal(call(h, "GET", "/v1/edges", "").Body.Bytes(), &dump); err != nil {
 		t.Fatal(err)
 	}
-	if len(dump.Edges) != 1 || dump.Edges[0] != (edgeJSON{From: 0, To: 1, W: 5}) {
+	if len(dump.Edges) != 1 || dump.Edges[0] != (edgeJSON{From: 0, To: 1, W: pending}) {
 		t.Fatalf("a refused request leaked into the store: %+v", dump.Edges)
 	}
-	if s.accepted.Load() != 1 || s.rejected.Load() != 2 {
+	if s.accepted.Load() != pending || s.rejected.Load() != 2 {
 		t.Fatalf("counters accepted=%d rejected=%d", s.accepted.Load(), s.rejected.Load())
 	}
 }
 
-// TestReadsNeverBlockOnQueues pins the plane separation: with the write
-// plane parked (unstarted drainers, queued events), every read endpoint
-// still answers.
+// TestReadsNeverBlockOnQueues pins the plane separation: with a goroutine
+// parked inside the store's maintenance lock (where every publish and
+// every solve runs), every read endpoint still answers, and so does ingest.
 func TestReadsNeverBlockOnQueues(t *testing.T) {
-	s, err := New(Config{Peers: 8, Shards: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	s, ts := newTestServer(t, Config{Peers: 8, Shards: 1})
 	resp := postJSON(t, ts.URL+"/v1/events", `{"events":[{"type":"trust","from":0,"to":1,"w":5}]}`)
 	resp.Body.Close()
+	parked, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Store().Exclusive(func(*reputation.LogGraph) {
+			close(parked)
+			<-release
+		})
+	}()
+	<-parked
+	client := &http.Client{Timeout: 10 * time.Second}
 	for _, path := range []string{
 		"/v1/reputation/1", "/v1/top?k=2", "/v1/alloc?source=0&d=1,2",
 		"/v1/trust?from=0&to=1", "/v1/peers/0/edges", "/v1/stats", "/healthz",
 	} {
-		resp, err := http.Get(ts.URL + path)
+		resp, err := client.Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d with write plane parked", path, resp.StatusCode)
+			t.Fatalf("%s: status %d with the maintenance lock held", path, resp.StatusCode)
 		}
 	}
+	resp, err := client.Post(ts.URL+"/v1/events", "application/json",
+		strings.NewReader(`{"events":[{"type":"trust","from":1,"to":2,"w":1}]}`))
+	if err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest: status %d with the maintenance lock held", resp.StatusCode)
+	}
+	close(release)
+	<-done
 }
 
 // TestStatsSurface checks the counters a dashboard would scrape.
@@ -386,7 +405,7 @@ func TestStatsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := decodeBody[statsResponse](t, resp)
-	if !st.Started || st.Accepted != 1 || st.Applied != 1 || st.Refreshes != 1 || st.TrustEpoch == 0 {
+	if !st.Started || st.Accepted != 1 || st.Pending != 0 || st.Refreshes != 1 || st.TrustEpoch == 0 {
 		t.Fatalf("stats %+v", st)
 	}
 	// Solver observability: the forced refresh solved real work, so the
@@ -485,12 +504,12 @@ func TestMethodAndRouteErrors(t *testing.T) {
 // TestConfigDefaults pins withDefaults.
 func TestConfigDefaults(t *testing.T) {
 	c := Config{Peers: 4}.withDefaults()
-	if c.Shards != DefaultShards || c.QueueDepth != DefaultQueueDepth ||
-		c.MaxBatch != DefaultMaxBatch || c.Refresh != DefaultRefresh {
+	if c.Shards != DefaultShards || c.MaxBatch != DefaultMaxBatch ||
+		c.Refresh != DefaultRefresh || c.Watermark != defaultWatermark {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
-	c = Config{Peers: 4, Shards: 2, QueueDepth: 9, MaxBatch: 11, Refresh: 42}.withDefaults()
-	if c.Shards != 2 || c.QueueDepth != 9 || c.MaxBatch != 11 || c.Refresh != 42 {
+	c = Config{Peers: 4, Shards: 2, MaxBatch: 11, Refresh: 42, Watermark: 9}.withDefaults()
+	if c.Shards != 2 || c.MaxBatch != 11 || c.Refresh != 42 || c.Watermark != 9 {
 		t.Fatalf("explicit config clobbered: %+v", c)
 	}
 }
@@ -526,33 +545,49 @@ func TestEventValidate(t *testing.T) {
 	}
 }
 
-// TestWriterBarrierOrdering hammers one shard with interleaved batches and
-// checks FIFO application via the accumulated edge value.
+// TestWriterBarrierOrdering hammers one edge with requests through the
+// handler and checks they apply in acknowledgement order via the final
+// value: 50 adds, then a Set that must win. An event admitted after Stop
+// is accepted too and lands at the next flush.
 func TestWriterBarrierOrdering(t *testing.T) {
-	s, err := New(Config{Peers: 4, Shards: 1, QueueDepth: 64})
+	s, err := New(Config{Peers: 4, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start()
 	defer s.Stop()
-	total := 0.0
-	for i := 1; i <= 50; i++ {
-		if !s.wr.admit([][]Event{{{Type: EventTrust, From: 0, To: 1, W: float64(i)}}}) {
-			t.Fatalf("enqueue %d refused", i)
+	h := s.Handler()
+	ingest := func(e Event) {
+		t.Helper()
+		body, err := json.Marshal(ingestRequest{Events: []Event{e}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		total += float64(i)
+		if rec := call(h, "POST", "/v1/events", string(body)); rec.Code != http.StatusAccepted {
+			t.Fatalf("ingest %+v: status %d", e, rec.Code)
+		}
 	}
-	// Overwrite last: after barrier the value must be exactly the final Set.
-	if !s.wr.admit([][]Event{{{Type: EventTrust, From: 0, To: 1, W: 7, Set: true}}}) {
-		t.Fatal("final set refused")
+	for i := 1; i <= 50; i++ {
+		ingest(Event{Type: EventTrust, From: 0, To: 1, W: float64(i)})
 	}
-	s.wr.barrier()
-	s.cg.Flush()
+	ingest(Event{Type: EventTrust, From: 0, To: 1, W: 7, Set: true})
+	if rec := call(h, "POST", "/v1/flush", ""); rec.Code != http.StatusOK {
+		t.Fatalf("flush status %d", rec.Code)
+	}
 	if got := s.cg.Trust(0, 1); got != 7 {
-		t.Fatalf("trust(0,1) = %v, want the last Set to win (7); accumulated total was %v", got, total)
+		t.Fatalf("trust(0,1) = %v, want the last Set to win (7)", got)
 	}
-	if s.wr.applied.Load() != 51 {
-		t.Fatalf("applied %d, want 51", s.wr.applied.Load())
+	if got := s.accepted.Load(); got != 51 {
+		t.Fatalf("accepted %d, want 51", got)
+	}
+
+	s.Stop()
+	ingest(Event{Type: EventTrust, From: 0, To: 2, W: 3}) // no panic, no refusal
+	if rec := call(h, "POST", "/v1/flush", ""); rec.Code != http.StatusOK {
+		t.Fatalf("flush after Stop: status %d", rec.Code)
+	}
+	if got := s.cg.Trust(0, 2); got != 3 {
+		t.Fatalf("trust(0,2) = %v after an ingest past Stop, want 3", got)
 	}
 }
 

@@ -213,35 +213,44 @@ func TestChainCheckpointIgnoresCorruptFile(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotAllocatesWhatItHolds pins that a length word cannot
-// make the decoders allocate: a 72-byte engine snapshot whose agent list
-// claims 2³¹ entries is an error from ReadFrom, and the same bytes inside a
-// checkpoint file are a cold start — both after allocating less than 1 MiB,
-// not the ~400 GB the length word asks for.
-func TestCorruptSnapshotAllocatesWhatItHolds(t *testing.T) {
-	var body bytes.Buffer
-	b := &binWriter{w: &body}
+// corruptAgentSnapshot returns a 72-byte engine snapshot: a valid
+// header, a step, the RNG words and an empty online list, then an agent
+// list whose length word claims 2³¹ entries and nothing after it. body is
+// everything after the version word.
+func corruptAgentSnapshot() (snap, body []byte) {
+	var buf bytes.Buffer
+	b := &binWriter{w: &buf}
 	b.i(7) // step
 	for k := 0; k < 4; k++ {
 		b.u64(uint64(k) + 1) // RNG words
 	}
 	b.i(0)       // empty online list
 	b.i(1 << 31) // agent-list length, and nothing after it
-	snap := append([]byte(snapMagic), make([]byte, 8)...)
+	snap = append([]byte(snapMagic), make([]byte, 8)...)
 	binary.LittleEndian.PutUint64(snap[8:], codecVersion)
-	snap = append(snap, body.Bytes()...)
+	return append(snap, buf.Bytes()...), buf.Bytes()
+}
+
+// allocated reports the heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCorruptSnapshotAllocatesWhatItHolds pins that a length word cannot
+// make the decoders allocate: a 72-byte engine snapshot whose agent list
+// claims 2³¹ entries is an error from ReadFrom, and the same bytes inside a
+// checkpoint file are a cold start — both after allocating less than 1 MiB,
+// not the ~400 GB the length word asks for.
+func TestCorruptSnapshotAllocatesWhatItHolds(t *testing.T) {
+	snap, body := corruptAgentSnapshot()
 	if len(snap) != 72 {
 		t.Fatalf("corrupt snapshot is %d bytes, want 72", len(snap))
 	}
-
-	grew := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	if got := grew(func() {
+	if got := allocated(func() {
 		var s EngineSnapshot
 		if _, err := s.ReadFrom(bytes.NewReader(snap)); err == nil {
 			t.Error("truncated agent list decoded without error")
@@ -258,16 +267,54 @@ func TestCorruptSnapshotAllocatesWhatItHolds(t *testing.T) {
 		cb.u64(codecVersion)
 		cb.str(name)
 		cb.i(0) // no completed points
-		cb.raw(body.String())
+		cb.raw(string(body))
 		return cb.err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := grew(func() {
+	if got := allocated(func() {
 		if c, ok := loadChainCheckpoint(dir, name, 4); ok || c != nil {
 			t.Error("corrupt checkpoint was accepted")
 		}
 	}); got >= 1<<20 {
 		t.Errorf("loadChainCheckpoint allocated %d bytes for a corrupt checkpoint", got)
 	}
+}
+
+// engineSnapshotAllocPerByte is the constant c of FuzzEngineSnapshotReadFrom:
+// a decode may allocate at most c·len(input) + 1 MiB. Every list grows as
+// its bytes arrive, so the cost per input byte is the in-memory element
+// size over its encoded size times append's growth overhead. The worst list
+// is the agents': a non-rational agent is 16 bytes on disk and a 184-byte
+// agent.Snapshot in memory, and a file of n such agents cut short after
+// them measured 29 (n = 100) to 67 (n = 10⁵) bytes allocated per input byte.
+const engineSnapshotAllocPerByte = 80
+
+// FuzzEngineSnapshotReadFrom feeds arbitrary bytes to the engine snapshot
+// decoder: it returns an error or a snapshot, never panics, and allocates
+// at most engineSnapshotAllocPerByte bytes per input byte plus 1 MiB.
+func FuzzEngineSnapshotReadFrom(f *testing.F) {
+	for _, kind := range allSchemeKinds {
+		eng, err := New(snapshotTestConfig(kind))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			eng.StepOnce(1, true)
+		}
+		var buf bytes.Buffer
+		if _, err := eng.Snapshot(nil).WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	corrupt, _ := corruptAgentSnapshot()
+	f.Add(corrupt)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s EngineSnapshot
+		grew := allocated(func() { _, _ = s.ReadFrom(bytes.NewReader(data)) })
+		if limit := engineSnapshotAllocPerByte*uint64(len(data)) + 1<<20; grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+	})
 }
