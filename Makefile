@@ -17,7 +17,7 @@ BENCH_N ?= 10
 
 .PHONY: build test vet fmt-check check bench bench-diff bench-guard \
 	cover fuzz-smoke race-stress figure-smoke scenario-smoke \
-	serve-smoke serve-bench shard-smoke clean
+	serve-smoke serve-bench clean
 
 build:
 	$(GO) build ./...
@@ -130,9 +130,9 @@ race-stress:
 		-timeout $(RACE_TIMEOUT) ./internal/serve/
 
 # fuzz-smoke runs every fuzz target for FUZZTIME as a quick corpus-driven
-# smoke (CI pairs it with -race to shake out data races in the sharded
-# EigenTrust solver and the parallel sweep paths). Targets are discovered by scanning test files, so
-# new Fuzz* functions join the smoke automatically.
+# smoke (CI pairs it with -race to shake out data races in the parallel
+# sweep paths). Targets are discovered by scanning test files, so new
+# Fuzz* functions join the smoke automatically.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	@found=0; \
@@ -251,16 +251,6 @@ serve-bench:
 	kill -TERM $$pid; wait $$pid; \
 	trap - EXIT; \
 	echo "serve-bench: records merged into BENCH_$(BENCH_N).json"
-
-# shard-smoke gates the sharded EigenTrust solver end to end: it runs the
-# deterministic collusion-plus-churn workload through repinspect -shards,
-# which prints per-shard balance for K ∈ {2,4,8} and exits non-zero if any
-# sharded solve diverges bitwise from the serial reference (or needs a
-# different round count). CI runs it in the figure-smoke job.
-shard-smoke:
-	$(GO) run ./cmd/repinspect -shards -peers 300 -clique 6 -boost 0.5 \
-		-rejoin 150 -steps 2000
-	@echo "shard-smoke: ok"
 
 # clean removes scratch output only: BENCH_*.json are version-controlled
 # trajectory records the bench-diff gate depends on, so they stay.

@@ -567,78 +567,6 @@ func BenchmarkTrustRefreshStructural(b *testing.B) {
 	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 }
 
-// BenchmarkEigenTrustSharded is ISSUE 10's acceptance benchmark: the
-// destination-range sharded solve across an n × shard-count grid, cold
-// every op (the bit-exact reference path), with the exchange protocol's
-// cost surfaced per op:
-//
-//   - "rounds/op" — power-iteration rounds (bit-identical to the serial
-//     iteration count by construction);
-//   - "xchgMB/op" — t-vector payload crossing the simulated network,
-//     8·n·K·(1+rounds) bytes;
-//   - "shardnnz" — the heaviest shard's matrix entries, the per-shard
-//     per-round work. The acceptance bar: shardnnz shrinks ~proportionally
-//     with K at n=10k while the result stays bit-identical.
-//
-// shards=1 is the degenerate single-shard protocol (one shard + combiner),
-// whose gap to BenchmarkEigenTrustRefresh-style serial solves prices the
-// message passing itself.
-func BenchmarkEigenTrustSharded(b *testing.B) {
-	const avgDeg = 8
-	for _, n := range []int{1000, 10000} {
-		g, err := reputation.NewLogGraph(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := xrand.New(uint64(n) * 3)
-		for k := 0; k < n*avgDeg; k++ {
-			from, to := rng.Intn(n), rng.Intn(n)
-			if from == to {
-				continue
-			}
-			if err := g.AddTrust(from, to, rng.Float64()*5+1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		g.Compact()
-		cfg := reputation.DefaultEigenTrust()
-		cfg.ColdStart = true
-		for _, shards := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("n=%d/shards=%d", n, shards), func(b *testing.B) {
-				sw, err := reputation.NewShardedWorkspace(shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sw.Compute(g, cfg); err != nil { // prime plan + buffers
-					b.Fatal(err)
-				}
-				rounds, bytes := 0, int64(0)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := sw.Compute(g, cfg); err != nil {
-						b.Fatal(err)
-					}
-					st := sw.ShardStats()
-					rounds += st.Rounds
-					bytes += st.BytesExchanged
-				}
-				b.StopTimer()
-				st := sw.ShardStats()
-				maxNNZ := 0
-				for _, z := range st.ShardNNZ {
-					if z > maxNNZ {
-						maxNNZ = z
-					}
-				}
-				b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-				b.ReportMetric(float64(bytes)/float64(b.N)/(1<<20), "xchgMB/op")
-				b.ReportMetric(float64(maxNNZ), "shardnnz")
-			})
-		}
-	}
-}
-
 func BenchmarkMaxFlow(b *testing.B) {
 	rng := xrand.New(5)
 	const n = 60

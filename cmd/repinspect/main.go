@@ -12,17 +12,11 @@
 // swaps, retire-waits, ingest drains) and checking the final arrays against
 // the serial log bit-identically.
 //
-// With -shards it measures destination-range shard balance for the sharded
-// EigenTrust solver on the same workload: per-shard rows, nnz, and exchange
-// bytes for K ∈ {2,4,8}, a >2× imbalance flag, and a bit-identity check of
-// each sharded solve against the serial reference.
-//
 // Usage:
 //
 //	repinspect -articles 0.5 -bandwidth 1.0 -steps 200
 //	repinspect -beta 0.1 -articles 1 -bandwidth 1
 //	repinspect -graph -peers 40 -clique 4 -boost 0.5 -rejoin 100 -steps 400
-//	repinspect -shards -peers 300 -clique 6 -boost 0.5 -rejoin 150 -steps 2000
 package main
 
 import (
@@ -41,7 +35,6 @@ func main() {
 		beta      = flag.Float64("beta", 0, "override logistic beta (0 keeps the default)")
 		graph     = flag.Bool("graph", false, "inspect the trust graph under a collusion+churn workload instead")
 		gossip    = flag.Bool("gossip", false, "measure gossip dissemination accuracy vs rounds against the exact solver")
-		shards    = flag.Bool("shards", false, "measure destination-range shard balance (K=2,4,8) on the collusion+churn workload")
 		peers     = flag.Int("peers", 40, "graph/gossip mode: total peers")
 		cliqueN   = flag.Int("clique", 4, "graph/gossip mode: colluding clique size")
 		boost     = flag.Float64("boost", 0.5, "graph/gossip mode: fabricated per-step in-clique trust weight")
@@ -59,13 +52,6 @@ func main() {
 	}
 	if *gossip {
 		if err := gossipStats(*peers, *cliqueN, *steps, *rejoin, *boost, *fanout); err != nil {
-			fmt.Fprintln(os.Stderr, "repinspect:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shards {
-		if err := shardStats(*peers, *cliqueN, *steps, *rejoin, *boost); err != nil {
 			fmt.Fprintln(os.Stderr, "repinspect:", err)
 			os.Exit(1)
 		}

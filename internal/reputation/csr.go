@@ -9,11 +9,9 @@ import "slices"
 //   - transposed values (destination-major): tRowPtr/tColIdx/tVal hold the
 //     normalized trust c_ij = w_ij/Σ_k w_ik grouped by destination j, with
 //     source indices strictly ascending. The power iteration next = C^T·t
-//     is a gather over this layout: every output component is one
-//     contiguous dot product, so a destination range is a contiguous window
-//     of these arrays (what a ShardSlice views) and — because each
-//     component's accumulation order is fixed by the layout, not the
-//     partition — every shard count yields bit-identical results.
+//     is a gather over this layout (see gather): every output component is
+//     one contiguous dot product whose accumulation order is fixed by the
+//     layout.
 //   - forward pattern (source-major): rowPtr/colIdx mirror the sparsity
 //     pattern of the edge log as of the last refresh, columns strictly
 //     ascending, no values. It is what the next refresh diffs the log's
@@ -63,8 +61,8 @@ type CSR struct {
 // logFollower tracks one consumer's refresh position against a LogGraph:
 // which log it last built from, at which sparsity-pattern generation, and at
 // which dirty-row consumption generation. Every CSR holds one, so several
-// consumers sharing a log (a serial workspace's CSR, a ShardPlan's) each
-// classify their own refresh and report it in RefreshStats.
+// CSRs sharing a log each classify their own refresh and report it in
+// RefreshStats.
 type logFollower struct {
 	src      *LogGraph
 	patGen   uint64
@@ -148,6 +146,28 @@ func (c *CSR) Row(i int, fn func(j int, v float64)) {
 	}
 }
 
+// gather writes one power iteration of src into dst: for every destination
+// j, dst[j] = (1−a)·(Σ_i src[i]·c_ij + dm·p[j]) + a·p[j], where a is the
+// damping, p the pre-trust distribution and dm the dangling mass of src
+// (summed over the dangling rows in ascending order). Each Σ is one
+// contiguous dot product over destination row j, sources ascending.
+func (c *CSR) gather(dst, src, p []float64, damping float64) {
+	dm := 0.0
+	for _, i := range c.dangling {
+		dm += src[i]
+	}
+	a := damping
+	om := 1 - a
+	tp, tc, tv := c.tRowPtr, c.tColIdx, c.tVal
+	for j := 0; j < c.n; j++ {
+		sum := 0.0
+		for e := tp[j]; e < tp[j+1]; e++ {
+			sum += src[tc[e]] * tv[e]
+		}
+		dst[j] = om*(sum+dm*p[j]) + a*p[j]
+	}
+}
+
 // slot returns the position of entry (r, j) in the transposed arrays: the
 // lower bound of source r among destination row j's ascending sources. For
 // an entry not stored it is where the entry would be inserted.
@@ -165,9 +185,9 @@ func (c *CSR) Rebuild(g Graph) {
 }
 
 // Refresh brings the matrix up to date with g and reports whether g's
-// sparsity pattern was the one already stored (in which case the arrays
-// were neither moved nor resized, and views of them stay valid). Either way
-// the CSR equals a fresh build of g on return, bit for bit.
+// sparsity pattern was the one already stored (in which case only values
+// were written; the arrays were neither moved nor resized). Either way the
+// CSR equals a fresh build of g on return, bit for bit.
 //
 // Against an edge-log graph the refresh costs what changed. The log is
 // compacted, and its pattern and dirty-row generations are compared with

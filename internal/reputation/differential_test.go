@@ -121,17 +121,20 @@ func TestEigenTrustCSRMatchesDenseBitIdentical(t *testing.T) {
 }
 
 // TestEigenTrustSerialMatchesParallelDeepEqual pins the determinism
-// guarantee across executors over the full differential grid (damping 0,
-// complete and empty graphs, pre-trusted sets, forced dangling rows): the
-// K-shard solver — one goroutine per shard — returns exactly the serial
-// vector for every K.
+// guarantee across workspace reuse and graph stores over the full
+// differential grid (damping 0, complete and empty graphs, pre-trusted
+// sets, forced dangling rows): one cold workspace, carried from case to
+// case through every n, solves each case's edge-log copy and returns
+// exactly the vector a fresh solve of the map-backed graph returns.
 func TestEigenTrustSerialMatchesParallelDeepEqual(t *testing.T) {
+	ws := NewEigenTrustWorkspace()
 	for _, c := range differentialCases() {
 		c := c
 		t.Run(fmt.Sprintf("n=%d/d=%g/a=%g/seed=%d", c.n, c.density, c.damping, c.seed), func(t *testing.T) {
 			g := c.graph(t)
 			cfg := c.config()
-			serial, err := EigenTrust(g, cfg)
+			cfg.ColdStart = true
+			want, err := EigenTrust(g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,15 +145,12 @@ func TestEigenTrustSerialMatchesParallelDeepEqual(t *testing.T) {
 			if err := lg.LoadEdges(g.AppendEdges(nil)); err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{1, 2, 3, 7} {
-				par, err := EigenTrustSharded(lg, cfg, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(serial, par) {
-					t.Fatalf("shards=%d diverges from serial:\n serial=%v\n par=%v",
-						shards, serial, par)
-				}
+			got, err := ws.Compute(lg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(append([]float64(nil), got...), want) {
+				t.Fatalf("reused workspace on the log diverges from a fresh solve:\n want=%v\n got=%v", want, got)
 			}
 		})
 	}

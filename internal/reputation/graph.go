@@ -102,43 +102,37 @@
 // per-source sequences. Trust vectors computed at a refresh are published
 // as immutable TrustSnapshot values readers grab with one atomic load.
 //
-// # One matrix, one loop
+// # One matrix, one loop, and the sharded solver that was removed
 //
-// The EigenTrust machinery is a single mechanism: one normalized matrix
-// (the CSR, whose transposed, destination-major arrays the iteration
-// gathers over), one gather kernel (ShardSlice.gather), and one
-// power-iteration loop (pre-trust fill, warm/cold start, L1 convergence
-// test, renormalization, warm-start state) that both workspaces embed.
-//
-// Because the transposed layout is destination-major, the destination range
-// ShardRange(n, K, s) is a contiguous window of those arrays. A ShardSlice
-// is a view of that window — what a real transport would ship to shard s,
-// nothing copied — and a ShardPlan is one CSR plus its K views, re-cut
-// whenever the pattern moved (a patch shifts the windows, a build may
-// reallocate them); value refreshes write through to the arrays the views
-// alias.
-//
-// EigenTrustWorkspace is the K=1 plan gathered inline on the caller's
-// goroutine. ShardedWorkspace runs the same loop across K shards that
-// communicate only by message passing — goroutines and explicit channels
-// stand in for network processes — with links double-buffered by round
-// parity; ShardStats reports rounds, exchange bytes (8·n·K·(1+rounds)) and
-// per-shard rows/nnz. The two are bit-identical for every K because
-// sharding only moves where a component is computed, never the arithmetic
-// order: the dangling, convergence and renormalization sums run serially in
-// index order inside the one loop, over the assembled full vector (summing
-// per-shard partial deltas would regroup the float additions and could flip
-// the Epsilon stopping test).
+// EigenTrust is one normalized matrix (the CSR), one gather over its
+// transposed arrays, and one power-iteration loop (EigenTrustWorkspace).
+// A destination-range sharded solver was removed because nothing but a
+// diagnostic called it and, at n = 10k on two cores, eight shards ran 1.5×
+// slower than this loop; commit 637773b adds it and f34988e reshapes it
+// into windows of this CSR, the two versions to restore from. Its design,
+// for a multi-process solver that needs it back: shard s of K owns
+// destinations [s·n/K, (s+1)·n/K), a contiguous window of the
+// destination-major transposed CSR; each round every shard gathers its
+// window from a full copy of t and sends it to the K−1 other shards and a
+// combiner, an all-to-all exchange of 8·n·K·(1+rounds) bytes per solve
+// (counting the start-vector broadcast); per-link send buffers are
+// double-buffered by round parity, since a sender can run at most one
+// round ahead of a slow receiver; and the combiner assembles the full next
+// vector, computes the L1 delta serially in index order and broadcasts the
+// stop decision. That last rule kept the sharded vectors and round counts
+// bit-identical to the serial ones for every K: summing per-shard partial
+// deltas would regroup the float additions and could flip the Epsilon
+// test.
 //
 // # Determinism
 //
-// EigenTrust, EigenTrustDense, EigenTrustWorkspace.Compute, and
-// ShardedWorkspace.Compute at any shard count all return bit-identical
-// vectors for the same graph, configuration and start vector: each
-// component's accumulation order is fixed by the CSR layout (sources
-// ascending) rather than by scheduling or map iteration order, row
-// normalization sums entries in ascending column order, and the dangling
-// and convergence sums run serially in index order.
+// EigenTrust, EigenTrustDense and EigenTrustWorkspace.Compute return
+// bit-identical vectors for the same graph, configuration and start
+// vector: each component's accumulation order is fixed by the CSR layout
+// (sources ascending) rather than by scheduling or map iteration order,
+// row normalization sums entries in ascending column order, and the
+// dangling, convergence and renormalization sums run serially in index
+// order.
 // Because normalization always sums rows in ascending column order, the
 // vectors are also bit-identical between the map-backed and the edge-log
 // graph, and MaxFlow canonicalizes its input through AppendEdges so its

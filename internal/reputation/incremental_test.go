@@ -108,50 +108,85 @@ func TestWarmStartWithinBound(t *testing.T) {
 }
 
 // TestWarmStartDeterministicAcrossWorkers pins that warm-started solves are
-// bit-identical for every executor count: a serial workspace and a sharded
-// one (one goroutine per shard) driven through the same solve/churn
-// sequence never diverge.
+// a pure function of the graph and the warm-start state: two workspaces
+// driven in lockstep over twin graphs, and a third created mid-run and
+// seeded (SeedWarm, the snapshot-restore path) with the first one's
+// previous vector, return bit-identical warm vectors with equal iteration
+// counts at every step. After ResetWarm the next solve runs cold and equals
+// a fresh workspace's.
 func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	cfg := DefaultEigenTrust()
-	for _, workers := range []int{2, 3, 8} {
-		g1 := randomLogGraph(t, 50, 0.12, 42)
-		g2 := randomLogGraph(t, 50, 0.12, 42)
-		ws1 := NewEigenTrustWorkspace()
-		ws2, err := NewShardedWorkspace(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng1 := xrand.New(5)
-		rng2 := xrand.New(5)
-		churn := func(g *LogGraph, rng *xrand.Source) {
-			for k := 0; k < 8; k++ {
-				i, j := rng.Intn(50), rng.Intn(50)
-				if i != j {
-					if err := g.AddTrust(i, j, rng.Float64()*0.1); err != nil {
-						t.Fatal(err)
-					}
+	const n, seedAt = 50, 3
+	var (
+		graphs [3]*LogGraph
+		rngs   [3]*xrand.Source
+		wss    [3]*EigenTrustWorkspace
+	)
+	for a := range graphs {
+		graphs[a] = randomLogGraph(t, n, 0.12, 42)
+		rngs[a] = xrand.New(5)
+	}
+	wss[0], wss[1] = NewEigenTrustWorkspace(), NewEigenTrustWorkspace()
+	churn := func(g *LogGraph, rng *xrand.Source) {
+		for k := 0; k < 8; k++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			if i != j {
+				if err := g.AddTrust(i, j, rng.Float64()*0.1); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
-		for step := 0; step < 6; step++ {
-			serial, err := ws1.Compute(g1, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := ws2.Compute(g2, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("workers=%d step %d: warm sharded diverges from warm serial", workers, step)
-			}
-			if ws1.LastStats().Iterations != ws2.LastStats().Iterations {
-				t.Fatalf("workers=%d step %d: iteration counts diverge (%d vs %d)",
-					workers, step, ws1.LastStats().Iterations, ws2.LastStats().Iterations)
-			}
-			churn(g1, rng1)
-			churn(g2, rng2)
+	}
+	var prev []float64 // the first workspace's previous vector
+	for step := 0; step < 6; step++ {
+		if step == seedAt {
+			wss[2] = NewEigenTrustWorkspace()
+			wss[2].SeedWarm(prev)
 		}
+		var want []float64
+		for a, ws := range wss {
+			if ws == nil {
+				continue
+			}
+			got, err := ws.Compute(graphs[a], cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := ws.LastStats()
+			if step > 0 && !st.Warm {
+				t.Fatalf("step %d workspace %d: expected a warm solve", step, a)
+			}
+			if a == 0 {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: workspace %d's warm solve diverges from workspace 0's", step, a)
+			}
+			if st.Iterations != wss[0].LastStats().Iterations {
+				t.Fatalf("step %d workspace %d: iteration counts diverge (%d vs %d)",
+					step, a, st.Iterations, wss[0].LastStats().Iterations)
+			}
+		}
+		prev = append(prev[:0], want...)
+		for a := range graphs {
+			churn(graphs[a], rngs[a])
+		}
+	}
+	wss[2].ResetWarm()
+	got, err := wss[2].Compute(graphs[2], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wss[2].LastStats().Warm {
+		t.Fatal("ResetWarm did not force a cold solve")
+	}
+	want, err := EigenTrust(graphs[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(append([]float64(nil), got...), want) {
+		t.Fatal("solve after ResetWarm diverges from a fresh workspace")
 	}
 }
 
