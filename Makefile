@@ -115,8 +115,9 @@ cover:
 
 # race-stress drives the concurrent trust store's randomized mixed
 # schedules (parallel writers, lock-free readers, churn, refreshes) and the
-# serving path's replay-equivalence and admission-atomicity tests under
-# the race detector, repeated RACE_COUNT times for interleaving diversity.
+# serving path's replay-equivalence, admission-atomicity and paced-refresh
+# tests under the race detector, repeated RACE_COUNT times for
+# interleaving diversity.
 # The -timeout doubles as the deadlock gate: a publisher that never sees
 # its spare buffer drain, or a reader stuck behind a lock that should not
 # exist, turns into a test-binary panic with full goroutine dumps instead
@@ -126,7 +127,7 @@ RACE_TIMEOUT ?= 300s
 race-stress:
 	$(GO) test -race -run 'Concurrent' -count=$(RACE_COUNT) \
 		-timeout $(RACE_TIMEOUT) ./internal/reputation/ ./internal/incentive/
-	$(GO) test -race -run 'E2E|Admission|Concurrent|Backpressure' -count=$(RACE_COUNT) \
+	$(GO) test -race -run 'E2E|Admission|Concurrent|Backpressure|Paced' -count=$(RACE_COUNT) \
 		-timeout $(RACE_TIMEOUT) ./internal/serve/
 
 # fuzz-smoke runs every fuzz target for FUZZTIME as a quick corpus-driven

@@ -1,7 +1,8 @@
 // Collabserve runs the trust/reputation service: an HTTP daemon over the
 // concurrent trust store that ingests trust and contribution events,
 // serves reputation/allocation queries from published snapshots, and
-// refreshes EigenTrust on a cadence.
+// re-solves EigenTrust soon after writes land — paced by what the last
+// solve cost, and never later than -refresh after the previous one started.
 //
 // Usage:
 //
@@ -40,7 +41,7 @@ func main() {
 		peers     = flag.Int("peers", 1000, "peer-id space size")
 		shards    = flag.Int("shards", 0, "ingest shard count (0 = default)")
 		maxBatch  = flag.Int("maxbatch", 0, "max events per ingest request (0 = default)")
-		refresh   = flag.Duration("refresh", 0, "EigenTrust refresh cadence (0 = default)")
+		refresh   = flag.Duration("refresh", 0, "ceiling on how stale served trust may get after a write (0 = default)")
 		floor     = flag.Float64("floor", 0, "allocation floor (0 = scheme default)")
 		watermark = flag.Int("watermark", 0, "store publish watermark in pending statements (0 = store default)")
 		snapshot  = flag.String("snapshot", "", "snapshot path for warm restart (loaded if present, written on shutdown)")
@@ -91,7 +92,7 @@ func main() {
 	}
 	srv.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -122,6 +123,29 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("collabserve: snapshot written to", *snapshot)
+	}
+}
+
+// Limits at the HTTP boundary. A client gets readHeaderTimeout to send its
+// request headers (at most maxHeaderBytes of them), and an idle keep-alive
+// connection is closed after idleTimeout, which sits far above the quiet
+// spells of a steady client — seconds, not minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer is the daemon's listener configuration: the handler behind
+// the boundary limits above. No read or write timeout covers the body, so a
+// full 8 MiB ingest batch on a slow link is not cut off.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }
 

@@ -370,8 +370,9 @@ func (g *GlobalTrust) Stale() bool {
 }
 
 // RefreshIfStale recomputes only when Stale reports pending work, returning
-// whether a solve ran — the cadence hook a wall-clock refresh loop calls on
-// every tick so an idle service skips the O(nnz) power iteration entirely.
+// whether a solve ran — the hook a serving refresh loop calls when it wakes,
+// so a wake that finds nothing new skips the O(nnz) power iteration
+// entirely.
 func (g *GlobalTrust) RefreshIfStale() (bool, error) {
 	if !g.Stale() {
 		return false, nil

@@ -24,8 +24,9 @@
 //     with 429 and none of it is applied (so a retry of the identical batch
 //     never duplicates or reorders a statement), which is the
 //     admission-control/backpressure boundary. Ingest never publishes:
-//     once pending statements reach Config.Watermark it wakes the solve
-//     plane, which flushes.
+//     every admitted request wakes the solve plane, which solves soon after
+//     (and flushes at once when pending statements reach
+//     Config.Watermark).
 //
 //     The decode contract: the body is read once, and the canonical wire
 //     form — {"events":[{…},…]} with the five lower-case keys in any order,
@@ -48,17 +49,23 @@
 //     while EigenTrust refreshes.
 //
 //   - The solve plane (a single refresh goroutine) recomputes the
-//     eigenvector on a wall-clock cadence through
-//     incentive.GlobalTrust{Concurrent: true}: RefreshIfStale skips solves
-//     while the store is idle; a solve runs under the store's maintenance
-//     lock (Exclusive) against the exact merged log and republishes the
-//     vector as an immutable snapshot stamped with the epoch it was
-//     computed from. Readers holding older snapshots are unaffected;
-//     writers keep appending throughout (their statements fold into the
-//     next publish). The same goroutine runs the watermark flushes ingest
-//     asks for, so no ingest request ever compacts, copies or waits on a
-//     pinned epoch. All solver state lives on this one goroutine, so the scheme's
-//     single-threaded contract is never violated.
+//     eigenvector through incentive.GlobalTrust{Concurrent: true} when
+//     ingest has made the store dirty, paced by what the last refresh
+//     cost: the next one starts three times its wall time after it ended,
+//     and never later than Config.Refresh, the ceiling on staleness, after
+//     it started. While pending statements sit at or above
+//     Config.Watermark (ingest outrunning the solve) it flushes at once and
+//     solves at the ceiling. An idle server arms no timer and never wakes;
+//     RefreshIfStale skips a solve that finds nothing new. A solve runs
+//     under the store's maintenance lock (Exclusive) against the exact
+//     merged log and republishes the vector as an immutable snapshot
+//     stamped with the epoch it was computed from. Readers holding older
+//     snapshots are unaffected; writers keep appending throughout (their
+//     statements fold into the next publish). Because the same goroutine
+//     runs those watermark flushes, no ingest request ever compacts, copies
+//     or waits on a pinned epoch. All solver state lives on this one
+//     goroutine, so the scheme's single-threaded contract is never
+//     violated.
 //
 // # Quiescence and warm restart
 //

@@ -407,7 +407,8 @@ func TestWarmRestartBitIdentity(t *testing.T) {
 	}
 
 	// An idle restored server must not consider itself stale: the refresh
-	// loop would otherwise burn a solve on every tick after every restart.
+	// loop would otherwise burn a solve on its first wake after every
+	// restart.
 	if b.gt.Stale() {
 		t.Fatal("restored server is stale with no new writes")
 	}
@@ -563,14 +564,27 @@ func TestSnapshotRefusedNotAllocated(t *testing.T) {
 }
 
 // TestStopLeavesMatchingVector pins that a snapshot taken after Stop holds
-// the vector of the edges beside it. The cadence never ticks (Refresh is an
-// hour) and nothing forces a solve, so only Stop's own last refresh can
-// have produced the vector the restarted server serves: it must carry the
-// restored epoch and sit within the warm-start bound of a cold solve over
-// the served edges.
+// the vector of the edges beside it. The first batch wakes the solve plane,
+// and the SolveLog hook holds that solve open for stall after it folded the
+// batch; the other 39 batches land meanwhile. The pacing rule then keeps
+// the next solve at least 3·stall away, the ceiling is an hour and nothing
+// forces a solve, so only Stop's own last refresh can fold them into the
+// vector the restarted server serves: it must carry the restored epoch and
+// sit within the warm-start bound of a cold solve over the served edges.
 func TestStopLeavesMatchingVector(t *testing.T) {
-	const peers = 32
-	cfg := Config{Peers: peers, Refresh: time.Hour, SnapshotPath: filepath.Join(t.TempDir(), "state.snap")}
+	const (
+		peers = 32
+		stall = 100 * time.Millisecond
+	)
+	var first sync.Once
+	solving := make(chan struct{})
+	cfg := Config{Peers: peers, Refresh: time.Hour, SnapshotPath: filepath.Join(t.TempDir(), "state.snap"),
+		SolveLog: func(incentive.SolveInfo) {
+			first.Do(func() {
+				close(solving)
+				time.Sleep(stall)
+			})
+		}}
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -589,6 +603,13 @@ func TestStopLeavesMatchingVector(t *testing.T) {
 		}
 		if rec := call(a.Handler(), "POST", "/v1/events", string(body)); rec.Code != http.StatusAccepted {
 			t.Fatalf("ingest status %d", rec.Code)
+		}
+		if b == 0 {
+			select {
+			case <-solving:
+			case <-time.After(2 * time.Second):
+				t.Fatal("the first admission never woke the solve plane")
+			}
 		}
 	}
 	a.Stop()

@@ -22,7 +22,9 @@ import (
 const (
 	DefaultShards   = 8
 	DefaultMaxBatch = 4096
-	DefaultRefresh  = 500 * time.Millisecond
+	// DefaultRefresh is the default ceiling on staleness (Config.Refresh),
+	// not a period: refreshes run only when something was admitted.
+	DefaultRefresh = 500 * time.Millisecond
 
 	defaultWatermark = 4096
 	maxBodyBytes     = 8 << 20
@@ -31,6 +33,11 @@ const (
 	// shards at pendingBatches·MaxBatch: room for that many full requests.
 	// A request that would cross it is refused whole with 429.
 	pendingBatches = 256
+
+	// refreshGapFactor paces the solve plane: the next refresh starts no
+	// sooner than this many times the last refresh's wall time after that
+	// refresh ended (see nextRefresh).
+	refreshGapFactor = 3
 )
 
 // Config parameterizes a Server. The zero value of every field except
@@ -45,15 +52,19 @@ type Config struct {
 	// (0 = DefaultMaxBatch). Admission refuses a request with 429 when the
 	// statements not yet folded into the store would exceed 256·MaxBatch.
 	MaxBatch int
-	// Refresh is the wall-clock EigenTrust solve cadence
-	// (0 = DefaultRefresh). Idle ticks skip the solve.
+	// Refresh is the ceiling on staleness (0 = DefaultRefresh): the refresh
+	// that folds an admitted event into the served vector starts no later
+	// than Refresh after the one before it started (at once if that one ran
+	// longer), and sooner when refreshes are cheap. An idle server does not
+	// refresh at all.
 	Refresh time.Duration
 	// PreTrusted seeds the teleport distribution (empty = uniform).
 	PreTrusted []int
 	// Floor is the uniform allocation floor (0 = the incentive default).
 	Floor float64
-	// Watermark is the pending-statement level at which ingest asks the
-	// solve-plane goroutine to flush and publish the store (0 = 4096).
+	// Watermark is the pending-statement level at which the solve plane
+	// treats ingest as a backlog (0 = 4096): it flushes and publishes the
+	// store at once and holds the next solve to the Refresh ceiling.
 	Watermark int
 	// SnapshotPath, when set, is loaded at construction (if the file
 	// exists) and written by SaveSnapshot — the warm-restart surface.
@@ -98,8 +109,8 @@ type Server struct {
 	// admitMu makes each ingest request's bound check and appends one step,
 	// so concurrent requests land in every ingest shard in the same order.
 	admitMu sync.Mutex
-	// kick asks the solve plane to publish once pending statements reach
-	// the watermark (1-buffered; ingest never blocks on it).
+	// kick tells the solve plane that a request was admitted (1-buffered;
+	// ingest never blocks on it).
 	kick chan struct{}
 
 	refreshReq chan chan error
@@ -193,25 +204,69 @@ func (s *Server) Stop() {
 	s.cg.Flush()
 }
 
+// nextRefresh is when the solve plane refreshes next, given that the last
+// refresh ran from lastStart to lastEnd: refreshGapFactor times that wall
+// time after it ended, but no later than the ceiling after it started. A
+// backlog (ingest outrunning the solve) waits for the ceiling.
+func nextRefresh(lastStart, lastEnd time.Time, ceiling time.Duration, backlog bool) time.Time {
+	at := lastStart.Add(ceiling)
+	if backlog {
+		return at
+	}
+	if gap := lastEnd.Add(refreshGapFactor * lastEnd.Sub(lastStart)); gap.Before(at) {
+		return gap
+	}
+	return at
+}
+
 // refreshLoop is the solve plane: one goroutine owning all GlobalTrust
-// state and every watermark publish, alternating cadence ticks (skipped
-// while idle) with forced refreshes requested over refreshReq and the
-// flushes ingest kicks. On quit it refreshes once more, so the vector left
-// behind matches the edges a snapshot will save beside it.
+// state and every watermark publish. Every admitted request kicks it; a
+// kick that finds no refresh armed arms one at nextRefresh (or runs it at
+// once when that time has passed), and a kick past the watermark flushes
+// first and holds the solve to the Refresh ceiling. An idle server arms
+// nothing. Forced refreshes arrive over refreshReq. On quit it refreshes
+// once more, so the vector left behind matches the edges a snapshot will
+// save beside it.
 func (s *Server) refreshLoop() {
 	defer close(s.stopped)
-	t := time.NewTicker(s.cfg.Refresh)
-	defer t.Stop()
+	lastStart := time.Now()
+	lastEnd := lastStart
+	var timer *time.Timer
+	var armed <-chan time.Time // timer.C while a refresh is armed, else nil
+	paced := func() {
+		lastStart = time.Now()
+		s.refreshIfStale()
+		lastEnd = time.Now()
+	}
 	for {
 		select {
 		case <-s.quit:
 			s.refreshIfStale()
 			return
 		case <-s.kick:
-			s.cg.Flush()
-		case <-t.C:
-			s.refreshIfStale()
+			backlog := s.cg.Stats().Pending >= int64(s.cfg.Watermark)
+			if backlog {
+				s.cg.Flush()
+			}
+			if armed != nil {
+				continue
+			}
+			wait := time.Until(nextRefresh(lastStart, lastEnd, s.cfg.Refresh, backlog))
+			if wait <= 0 {
+				paced()
+				continue
+			}
+			if timer == nil {
+				timer = time.NewTimer(wait)
+			} else {
+				timer.Reset(wait)
+			}
+			armed = timer.C
+		case <-armed:
+			armed = nil
+			paced()
 		case reply := <-s.refreshReq:
+			lastStart = time.Now()
 			err := s.gt.RefreshNow()
 			if err != nil {
 				s.solveErrs.Add(1)
@@ -219,6 +274,7 @@ func (s *Server) refreshLoop() {
 				s.refreshes.Add(1)
 				s.recordSolve()
 			}
+			lastEnd = time.Now()
 			reply <- err
 		}
 	}
@@ -237,10 +293,16 @@ func (s *Server) refreshIfStale() {
 }
 
 // recordSolve publishes the refresh goroutine's latest solver stats for
-// lock-free stats reads and feeds the SolveLog hook.
+// lock-free stats reads and feeds the SolveLog hook. A skipped refresh
+// keeps the last real solve's record and only marks it skipped, so the
+// solve_* fields of /v1/stats always describe work that ran.
 func (s *Server) recordSolve() {
 	rec := &solveRecord{info: s.gt.LastSolve()}
 	rec.warm, rec.cold, rec.skipped = s.gt.SolveCounts()
+	if prev := s.lastSolve.Load(); rec.info.Skipped && prev != nil {
+		rec.info = prev.info
+		rec.info.Skipped = true
+	}
 	s.lastSolve.Store(rec)
 	if s.cfg.SolveLog != nil && !rec.info.Skipped {
 		s.cfg.SolveLog(rec.info)
@@ -381,11 +443,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.admitMu.Unlock()
-	if pending+n >= int64(s.cfg.Watermark) {
-		select {
-		case s.kick <- struct{}{}:
-		default:
-		}
+	select {
+	case s.kick <- struct{}{}:
+	default:
 	}
 	s.accepted.Add(uint64(n))
 	writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(events)})
@@ -594,9 +654,10 @@ type statsResponse struct {
 	Pending     int64  `json:"pending"`
 	Readers     int64  `json:"readers"`
 
-	// Solver observability (ISSUE 9): what the last eigenvector solve did
-	// and the cumulative warm/cold/skipped split. Zero until the first
-	// post-Start refresh.
+	// Solver observability: what the last eigenvector solve did and the
+	// cumulative warm/cold/skipped split. Zero until the first post-Start
+	// refresh. A skipped refresh sets SolveSkipped and the counters and
+	// leaves the other solve_* fields as the last real solve wrote them.
 	SolveIterations    int     `json:"solve_iterations"`
 	SolveConverged     bool    `json:"solve_converged"`
 	SolveWarm          bool    `json:"solve_warm"`

@@ -61,8 +61,55 @@ func decodeBody[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
+// getStats reads /v1/stats.
+func getStats(t *testing.T, url string) statsResponse {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decodeBody[statsResponse](t, resp)
+}
+
+// waitStats polls /v1/stats until done holds, for at most two seconds.
+func waitStats(t *testing.T, url string, done func(statsResponse) bool) statsResponse {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		st := getStats(t, url)
+		if done(st) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stats never settled: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// solvedAll reports that the solve plane has folded every acknowledged
+// event and published the vector of the current epoch.
+func solvedAll(st statsResponse) bool {
+	return st.Pending == 0 && st.TrustEpoch == st.Epoch && st.Refreshes > 0
+}
+
 // TestIngestAndQuery drives the full write→flush→solve→read path over HTTP.
 func TestIngestAndQuery(t *testing.T) {
+	// Before any data-driven solve the founding publish is live: an
+	// unstarted server, which New promises serves reads, answers the
+	// uniform vector rather than blocking or erroring.
+	fresh, err := New(Config{Peers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var founding reputationResponse
+	if err := json.Unmarshal(call(fresh.Handler(), "GET", "/v1/reputation/3", "").Body.Bytes(), &founding); err != nil {
+		t.Fatal(err)
+	}
+	if !founding.Solved || founding.Trust != 1.0/8 {
+		t.Fatalf("an unstarted server should serve the uniform vector: %+v", founding)
+	}
+
 	s, ts := newTestServer(t, Config{Peers: 8})
 	resp := postJSON(t, ts.URL+"/v1/events", `{"events":[
 		{"type":"trust","from":0,"to":3,"w":4},
@@ -82,16 +129,6 @@ func TestIngestAndQuery(t *testing.T) {
 	resp.Body.Close()
 	if got := s.Store().Trust(0, 3); got != 4 {
 		t.Fatalf("trust(0,3) = %v after flush, want 4", got)
-	}
-
-	// Before any data-driven solve the founding publish is live: reads
-	// answer the uniform vector rather than blocking or erroring.
-	resp, err := http.Get(ts.URL + "/v1/reputation/3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := decodeBody[reputationResponse](t, resp); !rep.Solved || rep.Trust != 1.0/8 {
-		t.Fatalf("pre-refresh read should see the uniform vector: %+v", rep)
 	}
 
 	resp = postJSON(t, ts.URL+"/v1/refresh", "")
@@ -396,20 +433,13 @@ func TestStatsSurface(t *testing.T) {
 	_, ts := newTestServer(t, Config{Peers: 8})
 	resp := postJSON(t, ts.URL+"/v1/events", `{"events":[{"type":"trust","from":0,"to":1,"w":5}]}`)
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/v1/flush", "")
-	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/v1/refresh", "")
-	resp.Body.Close()
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := decodeBody[statsResponse](t, resp)
-	if !st.Started || st.Accepted != 1 || st.Pending != 0 || st.Refreshes != 1 || st.TrustEpoch == 0 {
+	// The admission wakes the solve plane, which solves on its own.
+	st := waitStats(t, ts.URL, solvedAll)
+	if !st.Started || st.Accepted != 1 || st.Refreshes != 1 || st.TrustEpoch == 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	// Solver observability: the forced refresh solved real work, so the
-	// record must show iterations, convergence, and the solve wall time.
+	// Solver observability: that solve did real work, so the record must
+	// show iterations, convergence, and the solve wall time.
 	if st.SolveSkipped || st.SolveIterations == 0 || !st.SolveConverged || st.SolveSeconds <= 0 {
 		t.Fatalf("solver stats after a dirty refresh: %+v", st)
 	}
@@ -417,16 +447,18 @@ func TestStatsSurface(t *testing.T) {
 		t.Fatalf("solve counters after a refresh: %+v", st)
 	}
 
-	// A second forced refresh with nothing new must surface as a skip.
+	// A forced refresh with nothing new is a skip: it counts, and the other
+	// solve_* fields still describe the last real solve.
 	resp = postJSON(t, ts.URL+"/v1/refresh", "")
 	resp.Body.Close()
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	skip := getStats(t, ts.URL)
+	if !skip.SolveSkipped || skip.SkippedSolves != st.SkippedSolves+1 || skip.Refreshes != st.Refreshes+1 {
+		t.Fatalf("counters after a zero-delta refresh: %+v, before %+v", skip, st)
 	}
-	st = decodeBody[statsResponse](t, resp)
-	if !st.SolveSkipped || st.SolveIterations != 0 || st.SkippedSolves == 0 {
-		t.Fatalf("solver stats after a zero-delta refresh: %+v", st)
+	if skip.SolveIterations != st.SolveIterations || skip.SolveConverged != st.SolveConverged ||
+		skip.SolveWarm != st.SolveWarm || skip.SolvePatternStable != st.SolvePatternStable ||
+		skip.SolveDirtyRows != st.SolveDirtyRows || skip.SolveSeconds != st.SolveSeconds {
+		t.Fatalf("a skip overwrote the last real solve: %+v, before %+v", skip, st)
 	}
 }
 
