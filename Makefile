@@ -97,7 +97,7 @@ bench-guard:
 # runs it as a non-blocking report step; run it locally before recording a
 # PR.
 COVER_MIN  ?= 80
-COVER_PKGS ?= ./internal/articles ./internal/sim ./internal/reputation
+COVER_PKGS ?= ./internal/articles ./internal/sim ./internal/reputation ./internal/wire
 cover:
 	@$(GO) test -coverprofile=cover.out ./... > cover.txt 2>&1 || { cat cover.txt; exit 1; }
 	@cat cover.txt

@@ -16,6 +16,7 @@ import (
 
 	"collabnet/internal/core"
 	"collabnet/internal/reputation"
+	"collabnet/internal/wire"
 )
 
 // ErrStateKind reports that a State was saved by a different scheme kind
@@ -95,6 +96,71 @@ type FlowTrustState struct {
 	Score        []float64
 	Dirty        bool
 	SinceRefresh int
+}
+
+// Codec codes the state through c: the Kind word, then the fields of the
+// section that kind owns, in declaration order. It is the one on-disk form
+// of scheme state, inside both the engine snapshot and the serving daemon's
+// warm-restart file; decoding fills only that section and leaves the others'
+// buffers alone.
+func (s *State) Codec(c *wire.Codec) {
+	c.Int((*int)(&s.Kind))
+	switch s.Kind {
+	case KindNone, KindReputation:
+		r := &s.Reputation
+		wire.List(c, &r.Ledgers, 15*8, ledgerCodec)
+		c.Floats(&r.ShareArticles)
+		c.Floats(&r.ShareBW)
+		c.Ints(&r.SuccVotes)
+		c.Ints(&r.AccEdits)
+	case KindKarma:
+		c.Floats(&s.Karma.Balances)
+	case KindTitForTat:
+		t := &s.TitForTat
+		wire.List(c, &t.Given, 3*8, edgeCodec)
+		c.Floats(&t.ShareArts)
+		c.Floats(&t.ShareBW)
+		c.Floats(&t.Uploaded)
+	case KindEigenTrust:
+		s.GlobalTrust.codec(c)
+	case KindMaxFlow:
+		// FlowTrustState has GlobalTrustState's fields, so it shares its layout.
+		(*GlobalTrustState)(&s.FlowTrust).codec(c)
+	default:
+		c.Fail(fmt.Errorf("incentive: no layout for scheme kind %d", int(s.Kind)))
+	}
+}
+
+func (g *GlobalTrustState) codec(c *wire.Codec) {
+	wire.List(c, &g.Edges, 3*8, edgeCodec)
+	c.Floats(&g.Trust)
+	c.Floats(&g.Score)
+	c.Bool(&g.Dirty)
+	c.Int(&g.SinceRefresh)
+}
+
+func edgeCodec(c *wire.Codec, e *reputation.Edge) {
+	c.Int(&e.From)
+	c.Int(&e.To)
+	c.Float(&e.W)
+}
+
+func ledgerCodec(c *wire.Codec, l *core.LedgerState) {
+	c.Float(&l.CS.Value)
+	c.Int(&l.CS.Idle)
+	c.Float(&l.CE.Value)
+	c.Int(&l.CE.Idle)
+	c.Int(&l.VoteFails)
+	c.Int(&l.EditFails)
+	c.Bool(&l.VoteBanned)
+	c.Int(&l.RegainedEdits)
+	c.Int(&l.SuccVotes)
+	c.Int(&l.FailVotes)
+	c.Int(&l.AccEdits)
+	c.Int(&l.DeclEdits)
+	c.Int(&l.Punished)
+	c.Int(&l.VoteBans)
+	c.Int(&l.VoteRegain)
 }
 
 func checkKind(src *State, want Kind) error {

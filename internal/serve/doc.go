@@ -76,9 +76,12 @@
 // plane refresh once more if acknowledged events left it stale (the solve
 // folds them in), so the vector in memory is the one that belongs to the
 // edges, and publishes the folded state. Shutdown then snapshots the
-// scheme state (canonical compacted edge list + trust vector) through the
-// binary codec in snapshot.go; a restart checks the file's length against
-// its header before sizing anything from it, loads it, republishes graph
-// epoch and trust snapshot, and resumes bit-identical to a serial replay of
-// everything the dead process had acknowledged.
+// scheme state (canonical compacted edge list + trust vector) in
+// incentive.State's layout, written by package wire to a temporary file
+// that is fsynced and renamed into place. A restart decodes it through the
+// same layout, refusing a length word the rest of the file cannot hold
+// before sizing anything from it, and refusing trailing bytes or another
+// version; it then loads the state, republishes graph epoch and trust
+// snapshot, and resumes bit-identical to a serial replay of everything the
+// dead process had acknowledged.
 package serve

@@ -12,12 +12,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"collabnet/internal/incentive"
 	"collabnet/internal/reputation"
+	"collabnet/internal/wire"
 )
 
 // postBatch sends one batch: admitted reports a 202, a 429
@@ -461,11 +463,58 @@ func TestSnapshotCodecErrors(t *testing.T) {
 	}
 }
 
-// headerOnlySnapshot is a 31-byte snapshot file: magic, version, peers 8,
-// edges 2³², and no body.
+// TestSnapshotVersion1Refused pins that a snapshot in the version-1
+// layout (a header of peer and edge counts, then bare words) fails
+// construction with an error that names its version.
+func TestSnapshotVersion1Refused(t *testing.T) {
+	b := []byte(snapshotMagic)
+	// version 1, 2 peers, no edges, trust, score, dirty, sinceRefresh
+	for _, w := range []uint64{1, 2, 0, math.Float64bits(0.5), math.Float64bits(0.5), 0, 0, 0, 0} {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	path := filepath.Join(t.TempDir(), "v1.snap")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Config{Peers: 2, SnapshotPath: path})
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("a version-1 snapshot must be refused naming its version, got %v", err)
+	}
+}
+
+// TestSnapshotIntoMissingDirectory pins that a snapshot path whose directory
+// does not exist yet still saves the session at shutdown, and that a warm
+// restart from it serves the same edges.
+func TestSnapshotIntoMissingDirectory(t *testing.T) {
+	cfg := Config{Peers: 8, SnapshotPath: filepath.Join(t.TempDir(), "new", "dir", "state.snap")}
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	if rec := call(a.Handler(), "POST", "/v1/events",
+		`{"events":[{"type":"contrib","from":0,"to":1,"w":2},{"type":"trust","from":3,"to":2,"w":0.5}]}`); rec.Code != http.StatusAccepted {
+		t.Fatalf("ingest status %d: %s", rec.Code, rec.Body)
+	}
+	a.Stop()
+	if err := a.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := call(a.Handler(), "GET", "/v1/edges", "").Body.String(), call(b.Handler(), "GET", "/v1/edges", "").Body.String()
+	if want != got || !strings.Contains(got, `"w":2`) {
+		t.Fatalf("warm restart serves %s, the saved session served %s", got, want)
+	}
+}
+
+// headerOnlySnapshot is a 31-byte snapshot file: magic, version, the
+// EigenTrust kind word, an edge list claiming 2³² edges, and nothing after.
 func headerOnlySnapshot() []byte {
 	b := []byte(snapshotMagic)
-	for _, w := range []uint64{snapshotVersion, 8, 1 << 32} {
+	for _, w := range []uint64{snapshotVersion, uint64(incentive.KindEigenTrust), 1 << 32} {
 		b = binary.LittleEndian.AppendUint64(b, w)
 	}
 	return b
@@ -474,24 +523,28 @@ func headerOnlySnapshot() []byte {
 // readSnapshotAllocPerByte is the constant c of FuzzReadSnapshot: reading a
 // file may allocate at most c·len(file) + 1 MiB. A file that decodes costs
 // its own size (24 bytes an edge and 16 a peer, on disk and in memory) plus
-// the 64 KiB read block: measured, len(file) + 73 to 78 KiB from 63 bytes to
-// 24 MB, so c = 1 would hold and 2 leaves room for size-class rounding. Any
-// other file is refused before anything is sized from it.
+// the 64 KiB read block: measured, len(file) + 65 to 75 KiB from 79 bytes to
+// 24 MB, so c = 1 would hold and 2 leaves room for size-class rounding. A
+// list whose length word the rest of the file cannot hold is refused before
+// it is allocated, so no file costs more than one that decodes.
 const readSnapshotAllocPerByte = 2
 
 // FuzzReadSnapshot writes arbitrary bytes to a file and decodes it as a
-// snapshot: readSnapshotFile returns an error or a state, never panics, and
+// snapshot: the reader returns an error or a state, never panics, and
 // allocates at most readSnapshotAllocPerByte bytes per file byte plus 1 MiB.
 func FuzzReadSnapshot(f *testing.F) {
 	dir := f.TempDir()
 	path := filepath.Join(dir, "fuzz.snap")
-	if err := writeSnapshotFile(path, &incentive.GlobalTrustState{
-		Edges:        []reputation.Edge{{From: 0, To: 1, W: 2.5}, {From: 2, To: 0, W: 1}},
-		Trust:        []float64{0.5, 0.3, 0.2},
-		Score:        []float64{0.6, 0.47, 0.375},
-		Dirty:        true,
-		SinceRefresh: 3,
-	}); err != nil {
+	if err := wire.WriteFile(path, snapshotFile(&incentive.State{
+		Kind: incentive.KindEigenTrust,
+		GlobalTrust: incentive.GlobalTrustState{
+			Edges:        []reputation.Edge{{From: 0, To: 1, W: 2.5}, {From: 2, To: 0, W: 1}},
+			Trust:        []float64{0.5, 0.3, 0.2},
+			Score:        []float64{0.6, 0.47, 0.375},
+			Dirty:        true,
+			SinceRefresh: 3,
+		},
+	})); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(path)
@@ -506,7 +559,8 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _ = readSnapshotFile(path)
+		var st incentive.State
+		_ = wire.ReadFile(path, snapshotFile(&st))
 		runtime.ReadMemStats(&after)
 		grew := after.TotalAlloc - before.TotalAlloc
 		if limit := readSnapshotAllocPerByte*uint64(len(data)) + 1<<20; grew > limit {
@@ -516,12 +570,13 @@ func FuzzReadSnapshot(f *testing.F) {
 }
 
 // TestSnapshotRefusedNotAllocated feeds the restart path two files whose
-// header promises more than the file holds — the 31-byte header-only file
-// and a 2 MB snapshot cut short by one byte —
-// and requires construction to fail having allocated next to nothing: the
-// lengths are checked against the file before anything is sized from them.
+// edge-list length word promises more than the file holds — the 31-byte
+// header-only file, and a 2 MB snapshot cut one byte short of the edges its
+// length word claims — and requires construction to fail having allocated
+// next to nothing: a length is checked against the bytes that remain before
+// anything is sized from it.
 func TestSnapshotRefusedNotAllocated(t *testing.T) {
-	const peers = 512
+	const peers, degree = 512, 180
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "big.snap")
 	a, err := New(Config{Peers: peers, SnapshotPath: snap})
@@ -529,7 +584,7 @@ func TestSnapshotRefusedNotAllocated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for from := 0; from < peers; from++ {
-		for d := 1; d <= 180; d++ {
+		for d := 1; d <= degree; d++ {
 			if err := a.Store().AddTrust(from, (from+d)%peers, float64(d)); err != nil {
 				t.Fatal(err)
 			}
@@ -545,7 +600,9 @@ func TestSnapshotRefusedNotAllocated(t *testing.T) {
 	if len(data) < 2<<20 {
 		t.Fatalf("snapshot of %d bytes is too small to show up in the heap", len(data))
 	}
-	for name, file := range map[string][]byte{"31 bytes": headerOnlySnapshot(), "one byte short": data[:len(data)-1]} {
+	// Magic, version, kind and edge-list length words, then 24 bytes an edge.
+	edgesEnd := len(snapshotMagic) + 3*8 + 24*peers*degree
+	for name, file := range map[string][]byte{"31 bytes": headerOnlySnapshot(), "one byte short": data[:edgesEnd-1]} {
 		path := filepath.Join(dir, "bad.snap")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
@@ -555,7 +612,7 @@ func TestSnapshotRefusedNotAllocated(t *testing.T) {
 		_, err := New(Config{Peers: peers, SnapshotPath: path})
 		runtime.ReadMemStats(&after)
 		if err == nil {
-			t.Fatalf("%s: a snapshot shorter than its header implies must fail construction", name)
+			t.Fatalf("%s: a snapshot shorter than its edge list claims must fail construction", name)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("%s: refused after allocating %d bytes", name, grew)

@@ -4,11 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
+
+	"collabnet/internal/agent"
+	"collabnet/internal/articles"
+	"collabnet/internal/core"
+	"collabnet/internal/network"
+	"collabnet/internal/reputation"
+	"collabnet/internal/wire"
 )
 
 // TestSnapshotCodecRoundTripBitIdentical pins the persistence acceptance
@@ -28,12 +36,12 @@ func TestSnapshotCodecRoundTripBitIdentical(t *testing.T) {
 			}
 			snap := eng.Snapshot(nil)
 
-			var buf bytes.Buffer
-			if _, err := snap.WriteTo(&buf); err != nil {
+			data, err := snap.MarshalBinary()
+			if err != nil {
 				t.Fatal(err)
 			}
 			got := &EngineSnapshot{}
-			if _, err := got.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+			if err := got.UnmarshalBinary(data); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(snap, got) {
@@ -78,11 +86,11 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 	snap := eng.Snapshot(nil)
 	path := filepath.Join(t.TempDir(), "sub", "engine.snap")
-	if err := WriteSnapshotFile(path, snap); err != nil {
+	if err := wire.WriteFile(path, snap.file); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshotFile(path)
-	if err != nil {
+	got := &EngineSnapshot{}
+	if err := wire.ReadFile(path, got.file); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snap, got) {
@@ -92,17 +100,17 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 
 func TestSnapshotCodecRejectsGarbage(t *testing.T) {
 	s := &EngineSnapshot{}
-	if _, err := s.ReadFrom(bytes.NewReader([]byte("not a snapshot at all"))); err == nil {
+	if err := s.UnmarshalBinary([]byte("not a snapshot at all")); err == nil {
 		t.Error("garbage should not decode")
 	}
-	if _, err := s.ReadFrom(bytes.NewReader(nil)); err == nil {
+	if err := s.UnmarshalBinary(nil); err == nil {
 		t.Error("empty input should not decode")
 	}
 	// Valid magic, truncated body.
-	if _, err := s.ReadFrom(bytes.NewReader([]byte(snapMagic))); err == nil {
+	if err := s.UnmarshalBinary([]byte(snapMagic)); err == nil {
 		t.Error("truncated input should not decode")
 	}
-	if _, err := ReadSnapshotFile(filepath.Join(t.TempDir(), "missing.snap")); err == nil {
+	if err := wire.ReadFile(filepath.Join(t.TempDir(), "missing.snap"), s.file); err == nil {
 		t.Error("missing file should error")
 	}
 }
@@ -162,6 +170,42 @@ func TestChainCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestGoldenCheckpoint pins the chain-checkpoint layout to committed bytes:
+// testdata/ckpt-chain-0.ckpt is the checkpoint checkpointChain(3) leaves
+// after its first two points, as the previous codec wrote it. Decoding it
+// and encoding it again reproduces it byte for byte, and resuming the chain
+// from it gives exactly the results of an uninterrupted run.
+func TestGoldenCheckpoint(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "ckpt-chain-0.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := checkpointChain(3)
+	dir := t.TempDir()
+	if err := os.WriteFile(checkpointPath(dir, chain.Name), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, ok := loadChainCheckpoint(dir, chain.Name, len(chain.Points))
+	if !ok || len(ck.Done) != 2 {
+		t.Fatalf("golden checkpoint does not decode to two completed points (ok=%v)", ok)
+	}
+	again, err := wire.Marshal(ck.file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, golden) {
+		t.Fatalf("re-encoded golden checkpoint differs: %d bytes, golden %d", len(again), len(golden))
+	}
+	full := runChain(checkpointChain(3), ChainOptions{WarmStart: true})
+	resumed := runChain(chain, ChainOptions{WarmStart: true, CheckpointDir: dir})
+	if full.Err != nil || resumed.Err != nil {
+		t.Fatal(full.Err, resumed.Err)
+	}
+	if !reflect.DeepEqual(full.Results, resumed.Results) {
+		t.Fatal("chain resumed from the golden checkpoint differs from the uninterrupted run")
+	}
+}
+
 // TestChainCheckpointThroughRunChains exercises the public path end to end:
 // RunChains with a CheckpointDir equals RunChains without one, both cold
 // and warm, and stale checkpoints from a different chain name are ignored.
@@ -196,10 +240,7 @@ func TestChainCheckpointIgnoresCorruptFile(t *testing.T) {
 	dir := t.TempDir()
 	c := checkpointChain(2)
 	// Pre-plant garbage where the checkpoint would live.
-	if err := atomicWrite(checkpointPath(dir, c.Name), func(w io.Writer) error {
-		_, err := w.Write([]byte("garbage"))
-		return err
-	}); err != nil {
+	if err := os.WriteFile(checkpointPath(dir, c.Name), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	opt := ChainOptions{WarmStart: true, CheckpointDir: dir}
@@ -218,17 +259,12 @@ func TestChainCheckpointIgnoresCorruptFile(t *testing.T) {
 // list whose length word claims 2³¹ entries and nothing after it. body is
 // everything after the version word.
 func corruptAgentSnapshot() (snap, body []byte) {
-	var buf bytes.Buffer
-	b := &binWriter{w: &buf}
-	b.i(7) // step
-	for k := 0; k < 4; k++ {
-		b.u64(uint64(k) + 1) // RNG words
+	// step, RNG words, empty online list, agent-list length
+	for _, w := range []uint64{7, 1, 2, 3, 4, 0, 1 << 31} {
+		body = binary.LittleEndian.AppendUint64(body, w)
 	}
-	b.i(0)       // empty online list
-	b.i(1 << 31) // agent-list length, and nothing after it
-	snap = append([]byte(snapMagic), make([]byte, 8)...)
-	binary.LittleEndian.PutUint64(snap[8:], codecVersion)
-	return append(snap, buf.Bytes()...), buf.Bytes()
+	snap = binary.LittleEndian.AppendUint64([]byte(snapMagic), codecVersion)
+	return append(snap, body...), body
 }
 
 // allocated reports the heap bytes f allocates.
@@ -242,7 +278,7 @@ func allocated(f func()) uint64 {
 
 // TestCorruptSnapshotAllocatesWhatItHolds pins that a length word cannot
 // make the decoders allocate: a 72-byte engine snapshot whose agent list
-// claims 2³¹ entries is an error from ReadFrom, and the same bytes inside a
+// claims 2³¹ entries is an error from UnmarshalBinary, and the same bytes inside a
 // checkpoint file are a cold start — both after allocating less than 1 MiB,
 // not the ~400 GB the length word asks for.
 func TestCorruptSnapshotAllocatesWhatItHolds(t *testing.T) {
@@ -252,24 +288,19 @@ func TestCorruptSnapshotAllocatesWhatItHolds(t *testing.T) {
 	}
 	if got := allocated(func() {
 		var s EngineSnapshot
-		if _, err := s.ReadFrom(bytes.NewReader(snap)); err == nil {
+		if err := s.UnmarshalBinary(snap); err == nil {
 			t.Error("truncated agent list decoded without error")
 		}
 	}); got >= 1<<20 {
-		t.Errorf("ReadFrom allocated %d bytes for a 72-byte snapshot", got)
+		t.Errorf("UnmarshalBinary allocated %d bytes for a 72-byte snapshot", got)
 	}
 
 	dir := t.TempDir()
 	const name = "chain"
-	if err := atomicWrite(checkpointPath(dir, name), func(w io.Writer) error {
-		cb := &binWriter{w: w}
-		cb.raw(ckptMagic)
-		cb.u64(codecVersion)
-		cb.str(name)
-		cb.i(0) // no completed points
-		cb.raw(string(body))
-		return cb.err
-	}); err != nil {
+	ckpt := binary.LittleEndian.AppendUint64([]byte(ckptMagic), codecVersion)
+	ckpt = append(binary.LittleEndian.AppendUint64(ckpt, uint64(len(name))), name...)
+	ckpt = binary.LittleEndian.AppendUint64(ckpt, 0) // no completed points
+	if err := os.WriteFile(checkpointPath(dir, name), append(ckpt, body...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got := allocated(func() {
@@ -282,13 +313,23 @@ func TestCorruptSnapshotAllocatesWhatItHolds(t *testing.T) {
 }
 
 // engineSnapshotAllocPerByte is the constant c of FuzzEngineSnapshotReadFrom:
-// a decode may allocate at most c·len(input) + 1 MiB. Every list grows as
-// its bytes arrive, so the cost per input byte is the in-memory element
-// size over its encoded size times append's growth overhead. The worst list
-// is the agents': a non-rational agent is 16 bytes on disk and a 184-byte
-// agent.Snapshot in memory, and a file of n such agents cut short after
-// them measured 29 (n = 100) to 67 (n = 10⁵) bytes allocated per input byte.
-const engineSnapshotAllocPerByte = 80
+// a decode may allocate at most c·len(input) + 1 MiB. A list is allocated
+// only once the bytes that remain could hold its elements at their minimum
+// encoded size, so a list costs at most its element's in-memory size over
+// that minimum per remaining byte. The largest such ratio is the agents': a
+// non-rational agent is 16 bytes on disk and a 184-byte agent.Snapshot in
+// memory. A decode that stops inside a list has also allocated the list it
+// stopped in within that element, against the same bytes: at most a Q-table,
+// revision or editor list, strings included, each one byte per byte. Hence
+// the largest ratio rounded up, plus one.
+const engineSnapshotAllocPerByte = uint64(max(
+	(unsafe.Sizeof(agent.Snapshot{})+minAgent-1)/minAgent,
+	(unsafe.Sizeof(core.LedgerState{})+15*8-1)/(15*8),
+	(unsafe.Sizeof(articles.ArticleSnapshot{})+minArticle-1)/minArticle,
+	(unsafe.Sizeof(articles.Revision{})+minRevision-1)/minRevision,
+	(unsafe.Sizeof(network.Transfer{})+minTransfer-1)/minTransfer,
+	(unsafe.Sizeof(reputation.Edge{})+24-1)/24,
+)) + 1
 
 // FuzzEngineSnapshotReadFrom feeds arbitrary bytes to the engine snapshot
 // decoder: it returns an error or a snapshot, never panics, and allocates
@@ -302,17 +343,17 @@ func FuzzEngineSnapshotReadFrom(f *testing.F) {
 		for i := 0; i < 5; i++ {
 			eng.StepOnce(1, true)
 		}
-		var buf bytes.Buffer
-		if _, err := eng.Snapshot(nil).WriteTo(&buf); err != nil {
+		data, err := eng.Snapshot(nil).MarshalBinary()
+		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		f.Add(data)
 	}
 	corrupt, _ := corruptAgentSnapshot()
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s EngineSnapshot
-		grew := allocated(func() { _, _ = s.ReadFrom(bytes.NewReader(data)) })
+		grew := allocated(func() { _ = s.UnmarshalBinary(data) })
 		if limit := engineSnapshotAllocPerByte*uint64(len(data)) + 1<<20; grew > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
 		}
