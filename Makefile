@@ -1,23 +1,23 @@
-# Collabnet build/test/bench entry points. `make check` is the gate CI
-# runs; `make bench` records the benchmark trajectory file BENCH_<n>.json
-# (bump BENCH_N per PR to keep history), and `make bench-diff` gates the
-# two newest trajectory files against each other.
+# Collabnet build/test entry points. `make check` (build, vet, fmt-check,
+# test) is the gate CI runs; the test suite includes a run of the
+# collabserve daemon binary through ingest, SIGTERM drain + snapshot and a
+# warm restart. The repo's one benchmark is `go run ./benchmark` (see
+# benchmark/README.md); BENCH_1…10.json are the frozen records of an older
+# ns/op regime, kept as history.
 #
 # CI: .github/workflows/ci.yml runs on every push/PR with a pinned Go
-# toolchain and module/build caching. Job "check" re-records the newest
-# bench slot on CI hardware (after `bench-guard` verifies the PR committed
-# one) and then runs `make check`; job "race-and-fuzz" runs the suite under
-# the race detector plus `make fuzz-smoke`; job "figure-smoke" renders all
-# figures at quick scale through the cold and warm sweep paths and uploads
-# the CSVs as build artifacts; `make cover` reports function coverage
-# (non-blocking in CI, threshold on the hot-path packages).
+# toolchain and module/build caching. Job "check" runs `make check` plus a
+# non-blocking coverage report (`make cover`, threshold on the hot-path
+# packages); job "race-and-fuzz" runs the stress schedules and the suite
+# under the race detector, vets and tests the 32-bit platform, and runs
+# `make fuzz-smoke`; job "figure-smoke" renders all figures at quick scale
+# through the cold and warm sweep paths and uploads the CSVs as build
+# artifacts.
 
-GO      ?= go
-BENCH_N ?= 10
+GO ?= go
 
-.PHONY: build test vet fmt-check check bench bench-diff bench-guard \
-	cover fuzz-smoke race-stress figure-smoke scenario-smoke \
-	serve-smoke serve-bench clean
+.PHONY: build test vet fmt-check check cover fuzz-smoke race-stress \
+	figure-smoke scenario-smoke clean
 
 build:
 	$(GO) build ./...
@@ -34,62 +34,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: build vet fmt-check test bench-diff
-
-# bench runs every benchmark with allocation stats and converts the raw
-# output into BENCH_$(BENCH_N).json for cross-PR comparison. BENCH_COUNT>1
-# records repeated samples per benchmark; bench-diff collapses them to
-# min-of-runs, which sheds scheduler noise on busy machines.
-BENCH_COUNT ?= 1
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count=$(BENCH_COUNT) . > bench.out
-	@cat bench.out
-	$(GO) run ./cmd/collabsim -benchparse bench.out -benchjson BENCH_$(BENCH_N).json
-
-# bench-diff compares the two newest BENCH_*.json trajectory files and
-# fails on a >20% ns/op regression in any benchmark they share. With fewer
-# than two record files it reports and passes, so `make check` works on a
-# fresh checkout before the first `make bench` of a new PR. The records
-# compare wall-clock, so they are only meaningful when recorded on
-# comparable hardware — the intended flow is that each PR runs
-# `make bench BENCH_N=<pr>` in the same CI environment as its predecessor
-# to record the current tree before `make check` gates it. bench-guard
-# (below) closes the loophole where a PR that records nothing sees its
-# predecessor's files silently compared instead.
-bench-diff:
-	@files=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n); \
-	new=$$(echo "$$files" | tail -1); \
-	old=$$(echo "$$files" | tail -2 | head -1); \
-	if [ -z "$$new" ] || [ "$$new" = "$$old" ]; then \
-		echo "bench-diff: fewer than two BENCH_*.json files, nothing to compare"; \
-	else \
-		$(GO) run ./cmd/collabsim -benchbase $$old -benchdiff $$new; \
-	fi
-
-# bench-guard fails when the current PR's trajectory record is missing, so
-# a PR that skips `make bench BENCH_N=$(BENCH_N)` cannot slip past the
-# bench-diff gate unrecorded. It also requires a record for every benchmark
-# name prefix listed in bench-required.txt (one per line), so a trajectory
-# that later PRs compare against cannot silently drop out of the file:
-# ServeLoadgen* are merged in by `make serve-bench`, the rest come from
-# `make bench`.
-# CI additionally checks that a BENCH_*.json file actually changed in the
-# PR's diff (the Makefile cannot know the merge base).
-bench-guard:
-	@if [ ! -f BENCH_$(BENCH_N).json ]; then \
-		echo "bench-guard: BENCH_$(BENCH_N).json missing —" \
-			"run 'make bench BENCH_N=$(BENCH_N)' and commit the record"; \
-		exit 1; \
-	fi; \
-	while read -r name; do \
-		if [ -n "$$name" ] && ! grep -q "$$name" BENCH_$(BENCH_N).json; then \
-			echo "bench-guard: BENCH_$(BENCH_N).json has no $$name records" \
-				"(required by bench-required.txt) — run 'make bench BENCH_N=$(BENCH_N)'," \
-				"then 'make serve-bench BENCH_N=$(BENCH_N)' for ServeLoadgen"; \
-			exit 1; \
-		fi; \
-	done < bench-required.txt; \
-	echo "bench-guard: BENCH_$(BENCH_N).json present"
+check: build vet fmt-check test
 
 # cover prints a function-level coverage summary and enforces COVER_MIN% on
 # the packages the voting/simulation hot path lives in. The suite runs once;
@@ -195,66 +140,7 @@ scenario-smoke:
 		-csv $(FIGURE_OUT)/scenario > /dev/null
 	@echo "scenario-smoke: ok"
 
-# serve-smoke is the serving-path CI gate: boot collabserve, drive it with
-# a short mixed loadgen burst whose -verify flag proves replay equivalence
-# (the server's canonical edge dump equals a serial LogGraph replay of the
-# accepted events), SIGTERM the server so it drains and snapshots, then
-# warm-restart from the snapshot and require the restored store to still
-# hold the data (loadgen -check). Any step failing — including an unclean
-# shutdown or a missing snapshot — fails the target.
-SERVE_PORT ?= 18987
-SERVE_DIR  ?= /tmp/collabnet-serve-smoke
-serve-smoke:
-	@rm -rf $(SERVE_DIR) && mkdir -p $(SERVE_DIR)
-	@$(GO) build -o $(SERVE_DIR)/collabserve ./cmd/collabserve
-	@$(GO) build -o $(SERVE_DIR)/loadgen ./cmd/loadgen
-	@set -e; \
-	$(SERVE_DIR)/collabserve -addr 127.0.0.1:$(SERVE_PORT) -peers 256 \
-		-refresh 100ms -snapshot $(SERVE_DIR)/state.snap & \
-	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	sleep 1; \
-	$(SERVE_DIR)/loadgen -url http://127.0.0.1:$(SERVE_PORT) -peers 256 \
-		-duration 3s -workers 4 -writemix 0.8 -verify; \
-	echo "serve-smoke: SIGTERM -> drain + snapshot"; \
-	kill -TERM $$pid; wait $$pid; \
-	test -f $(SERVE_DIR)/state.snap || { echo "serve-smoke: no snapshot written"; exit 1; }; \
-	echo "serve-smoke: warm restart"; \
-	$(SERVE_DIR)/collabserve -addr 127.0.0.1:$(SERVE_PORT) -peers 256 \
-		-snapshot $(SERVE_DIR)/state.snap & \
-	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	sleep 1; \
-	$(SERVE_DIR)/loadgen -url http://127.0.0.1:$(SERVE_PORT) -peers 256 -check; \
-	kill -TERM $$pid; wait $$pid; \
-	trap - EXIT; \
-	echo "serve-smoke: ok"
-
-# serve-bench records the serving path's latency/throughput records into
-# the current trajectory slot: a closed-loop mixed burst against a locally
-# booted server, verified for replay equivalence, merged into
-# BENCH_$(BENCH_N).json alongside the `make bench` records (same schema,
-# ns-per-op convention, so bench-diff gates them too).
-SERVE_BENCH_DURATION ?= 5s
-serve-bench:
-	@rm -rf $(SERVE_DIR) && mkdir -p $(SERVE_DIR)
-	@$(GO) build -o $(SERVE_DIR)/collabserve ./cmd/collabserve
-	@$(GO) build -o $(SERVE_DIR)/loadgen ./cmd/loadgen
-	@set -e; \
-	$(SERVE_DIR)/collabserve -addr 127.0.0.1:$(SERVE_PORT) -peers 1000 \
-		-refresh 200ms & \
-	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	sleep 1; \
-	$(SERVE_DIR)/loadgen -url http://127.0.0.1:$(SERVE_PORT) -peers 1000 \
-		-duration $(SERVE_BENCH_DURATION) -writemix 0.9 -verify \
-		-benchjson BENCH_$(BENCH_N).json; \
-	kill -TERM $$pid; wait $$pid; \
-	trap - EXIT; \
-	echo "serve-bench: records merged into BENCH_$(BENCH_N).json"
-
-# clean removes scratch output only: BENCH_*.json are version-controlled
-# trajectory records the bench-diff gate depends on, so they stay.
+# clean removes scratch output only; the BENCH_*.json history stays.
 clean:
-	rm -f bench.out cover.out cover.txt
+	rm -f cover.out cover.txt
 	rm -rf figures

@@ -15,9 +15,6 @@
 //	collabsim -scenario collusion               # one adversarial scenario
 //	collabsim -scenario all                     # every built-in scenario
 //	collabsim -scenario specs/custom.json       # JSON spec file
-//	collabsim -fig 4 -benchjson BENCH_1.json   # also record wall-clock JSON
-//	collabsim -benchparse bench.out -benchjson BENCH_1.json
-//	collabsim -benchbase BENCH_1.json -benchdiff BENCH_2.json   # CI regression gate
 //	collabsim -list
 //
 // Figures are rendered as ASCII charts; -csv writes the raw series next to
@@ -30,11 +27,8 @@
 // snapshot, binary codec) under DIR after each point and resumes
 // interrupted chains from it on the next invocation — an interrupted
 // `-scale paper -warm` sweep continues where it stopped with bit-identical
-// results; clear DIR when changing the experiment or scale. -benchjson records the
-// wall-clock of this invocation's experiment as one JSON benchmark record;
-// -benchparse instead converts `go test -bench` text output into the same
-// JSON schema, so CI can track benchmark trajectories across PRs
-// (BENCH_<n>.json files).
+// results; clear DIR when changing the experiment or scale. The repo's
+// benchmark (`go run ./benchmark`) drives this binary as its sweep journey.
 package main
 
 import (
@@ -42,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"collabnet/internal/asciiplot"
@@ -59,11 +52,6 @@ func main() {
 		csvDir     = flag.String("csv", "", "directory to write CSV series into")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		workers    = flag.Int("workers", 0, "worker goroutines for sweeps (0 = GOMAXPROCS)")
-		benchJSON  = flag.String("benchjson", "", "write benchmark records as JSON to this file")
-		benchParse = flag.String("benchparse", "", "parse `go test -bench` output from this file into -benchjson (default BENCH_1.json)")
-		benchBase  = flag.String("benchbase", "", "baseline BENCH_*.json for -benchdiff")
-		benchDiff  = flag.String("benchdiff", "", "compare this BENCH_*.json against -benchbase; exit nonzero on regression")
-		benchThr   = flag.Float64("benchthreshold", 0.20, "ns/op regression threshold for -benchdiff (0.20 = +20%)")
 		warm       = flag.Bool("warm", false, "run sweeps as warm-start chains (snapshot + burn-in per point)")
 		cold       = flag.Bool("cold", false, "run sweeps cold (full retraining per point; with -warm, run both and compare timing)")
 		burnIn     = flag.Int("burnin", 0, "warm-start burn-in steps per sweep point (0 = TrainSteps/20)")
@@ -72,36 +60,12 @@ func main() {
 	)
 	flag.Parse()
 
-	if *benchDiff != "" || *benchBase != "" {
-		if *benchDiff == "" || *benchBase == "" {
-			fmt.Fprintln(os.Stderr, "collabsim: -benchdiff and -benchbase must be given together")
-			os.Exit(2)
-		}
-		if err := diffBenchFiles(*benchBase, *benchDiff, *benchThr); err != nil {
-			fmt.Fprintln(os.Stderr, "collabsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *list {
 		fmt.Println("figures:    -fig 1 … -fig 7  (Figures 1-7 of the paper)")
 		fmt.Println("ablations:  -ablation shape | temperature | voting | punishment | scheme | histogram | attack")
 		fmt.Println("scenarios:  -scenario " + scenarioNames() + " | all | <file.json>")
 		fmt.Println("scales:     -scale quick (reduced) | -scale paper (full 100 peers, 10k training steps)")
-		fmt.Println("tooling:    -workers N | -warm [-cold] | -checkpoint DIR | -benchjson FILE | -benchparse FILE | -benchbase OLD -benchdiff NEW")
-		return
-	}
-
-	if *benchParse != "" {
-		out := *benchJSON
-		if out == "" {
-			out = "BENCH_1.json"
-		}
-		if err := parseBenchFile(*benchParse, out); err != nil {
-			fmt.Fprintln(os.Stderr, "collabsim:", err)
-			os.Exit(1)
-		}
+		fmt.Println("tooling:    -workers N | -warm [-cold] | -checkpoint DIR")
 		return
 	}
 
@@ -131,24 +95,23 @@ func main() {
 	}
 
 	var (
-		figs    []experiments.Figure
-		elapsed time.Duration
-		err     error
+		figs []experiments.Figure
+		err  error
 	)
 	if *warm && *cold {
 		// Warm-vs-cold comparison: run the executable reference first, then
 		// the warm-start chains, and report the wall-clock side by side.
-		var coldElapsed time.Duration
+		var coldElapsed, warmElapsed time.Duration
 		if _, coldElapsed, err = runTimed(false); err == nil {
-			figs, elapsed, err = runTimed(true)
+			figs, warmElapsed, err = runTimed(true)
 		}
 		if err == nil && len(figs) > 0 {
-			speedup := float64(coldElapsed) / float64(elapsed)
+			speedup := float64(coldElapsed) / float64(warmElapsed)
 			fmt.Printf("warm-vs-cold: cold=%v warm=%v speedup=%.2fx\n",
-				coldElapsed.Round(time.Millisecond), elapsed.Round(time.Millisecond), speedup)
+				coldElapsed.Round(time.Millisecond), warmElapsed.Round(time.Millisecond), speedup)
 		}
 	} else {
-		figs, elapsed, err = runTimed(*warm)
+		figs, _, err = runTimed(*warm)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "collabsim:", err)
@@ -169,27 +132,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "collabsim:", err)
 				os.Exit(1)
 			}
-		}
-	}
-	if *benchJSON != "" {
-		name := fmt.Sprintf("fig%d", *figNum)
-		if *figNum == 0 {
-			name = "ablation-" + *ablation
-		}
-		if *warm {
-			// Warm records get their own name so bench-diff never compares a
-			// warm run against a cold baseline.
-			name += "-warm"
-		}
-		recs := []benchRecord{{
-			Name:    fmt.Sprintf("%s/scale=%s/workers=%d", name, *scale, *workers),
-			Runs:    1,
-			NsPerOp: float64(elapsed.Nanoseconds()),
-			Procs:   runtime.GOMAXPROCS(0),
-		}}
-		if err := writeBenchJSON(*benchJSON, recs); err != nil {
-			fmt.Fprintln(os.Stderr, "collabsim:", err)
-			os.Exit(1)
 		}
 	}
 }

@@ -132,13 +132,18 @@ func (c *Codec) Uint64(v *uint64) {
 	*v = c.get()
 }
 
-// Int codes *v as one word.
+// Int codes *v as one word; decoding refuses a word the platform's int
+// cannot hold, rather than wrapping it.
 func (c *Codec) Int(v *int) {
 	if c.w != nil {
 		c.put(uint64(*v))
 		return
 	}
-	*v = int(c.get())
+	x := int64(c.get())
+	if int64(int(x)) != x {
+		c.Fail(fmt.Errorf("wire: int word %d does not fit in an int", x))
+	}
+	*v = int(x)
 }
 
 // Float codes *v as its IEEE-754 bits.
